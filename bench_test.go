@@ -163,8 +163,9 @@ func BenchmarkExt7742Throttling(b *testing.B) {
 
 // --- Scheduler ---
 
-// BenchmarkRunAllSerial and BenchmarkRunAllParallel measure the full-suite
-// wall time through the serial runner and the worker-pool scheduler. The
+// BenchmarkRunAllSerial and BenchmarkRunAllPool measure the full-suite
+// wall time through the serial runner and the worker-pool scheduler (a
+// one-config sweep). The
 // experiments are independent simulations, so the parallel run should scale
 // to ≥2× on 4+ cores (compare ns/op between the two).
 func BenchmarkRunAllSerial(b *testing.B) {
@@ -175,11 +176,11 @@ func BenchmarkRunAllSerial(b *testing.B) {
 	}
 }
 
-func BenchmarkRunAllParallel(b *testing.B) {
+func BenchmarkRunAllPool(b *testing.B) {
 	workers := runtime.NumCPU()
 	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunAllParallel(core.Options{Scale: 0.1, Seed: 1}, workers); err != nil {
+		if _, err := runConfig(nil, core.Options{Scale: 0.1, Seed: 1}, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +208,7 @@ func BenchmarkFig7Sharded(b *testing.B) {
 	workers := runtime.NumCPU()
 	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunIDs([]string{"fig7"}, core.Options{Scale: 1, Seed: 1}, workers, nil); err != nil {
+		if _, err := runConfig([]string{"fig7"}, core.Options{Scale: 1, Seed: 1}, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +240,7 @@ func BenchmarkSweepBatchedVsSequential(b *testing.B) {
 		b.ReportMetric(float64(workers), "workers")
 		for i := 0; i < b.N; i++ {
 			for _, c := range configs {
-				if _, err := core.RunIDs(ids, c, workers, nil); err != nil {
+				if _, err := runConfig(ids, c, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

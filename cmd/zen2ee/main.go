@@ -386,9 +386,16 @@ func (f experimentFlags) withProfiles(body func() error) error {
 	return err
 }
 
-// runSuite fans the full suite out across the requested workers.
-func runSuite(f experimentFlags) ([]*core.Result, error) {
-	return core.RunAllParallelProgress(f.opts, f.parallel, printProgress)
+// runOneConfig runs ids (the full suite when nil) at the flags' single
+// configuration: a one-config sweep through the shard scheduler, so a heavy
+// experiment (fig7, fig8) fans its sweep points across -parallel workers
+// with results identical to a serial run.
+func runOneConfig(ids []string, f experimentFlags, cfg core.RunConfig) ([]*core.Result, error) {
+	sr, err := core.RunSweep(core.Sweep{IDs: ids, Configs: []core.Config{f.opts}}, cfg, printProgress)
+	if sr == nil {
+		return nil, err
+	}
+	return sr.Runs[0].Results, err
 }
 
 // withCoordinator wires distributed execution into a run when
@@ -518,23 +525,19 @@ func runExperiments(f experimentFlags) error {
 		return err
 	}
 	defer cacheDone()
-	var results []*core.Result
-	if f.pos[0] == "all" {
-		results, err = core.RunIDsConfig(nil, f.opts, runCfg, printProgress)
-		if err != nil {
-			// Partial results still print below; main reports the joined
-			// error once after them (the progress stream already flagged
-			// each failure as it happened).
-			fmt.Fprintln(os.Stderr, "zen2ee: some experiments failed, printing partial results")
-		}
-	} else {
-		// Single experiments also go through the shard scheduler, so a
-		// heavy one (fig7, fig8) fans its sweep points across -parallel
-		// workers; results are identical to a serial run.
-		results, err = core.RunIDsConfig([]string{f.pos[0]}, f.opts, runCfg, printProgress)
-		if err != nil {
+	var ids []string
+	if f.pos[0] != "all" {
+		ids = f.pos[:1]
+	}
+	results, err := runOneConfig(ids, f, runCfg)
+	if err != nil {
+		if ids != nil {
 			return errors.Join(err, f.commitTrace(tr))
 		}
+		// Partial results still print below; main reports the joined
+		// error once after them (the progress stream already flagged each
+		// failure as it happened).
+		fmt.Fprintln(os.Stderr, "zen2ee: some experiments failed, printing partial results")
 	}
 	if f.jsonOut {
 		// The canonical JSON document — byte-identical to what the zen2eed
@@ -775,7 +778,7 @@ func genExperiments(args []string) error {
 		return fmt.Errorf("gen-experiments takes no positional arguments")
 	}
 	return f.withProfiles(func() error {
-		results, err := runSuite(f)
+		results, err := runOneConfig(nil, f, core.RunConfig{Workers: f.parallel})
 		if err != nil {
 			return err
 		}

@@ -14,11 +14,21 @@ import (
 	"zen2ee/internal/report"
 )
 
+// runConfig runs the named experiments at one configuration through the
+// shard scheduler — the one-config sweep every single run issues.
+func runConfig(ids []string, o core.Options, workers int) ([]*core.Result, error) {
+	sr, err := core.RunSweep(core.Sweep{IDs: ids, Configs: []core.Config{o}}, core.RunConfig{Workers: workers}, nil)
+	if sr == nil {
+		return nil, err
+	}
+	return sr.Runs[0].Results, err
+}
+
 // marshalSet runs the named experiments through the shard scheduler at the
 // given worker count and returns the canonical JSON document.
 func marshalSet(t *testing.T, ids []string, o core.Options, workers int) []byte {
 	t.Helper()
-	results, err := core.RunIDs(ids, o, workers, nil)
+	results, err := runConfig(ids, o, workers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,8 @@ type Result struct {
 	Comparisons []Comparison `json:"comparisons,omitempty"`
 
 	// Elapsed is the wall-clock time the experiment took when it was run
-	// through RunAll/RunAllParallel (zero for direct Experiment.Run calls).
+	// through RunAll, RunOne or the sweep scheduler (zero for direct
+	// Experiment.Run calls).
 	// It is the one nondeterministic field; report.MarshalResults clears it
 	// so canonical JSON documents are byte-identical across runs.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
@@ -362,16 +363,16 @@ func ByID(id string) (Experiment, error) {
 // scheduled as part of the full suite: the run seed is replaced by an
 // independent stream derived from (seed, experiment ID), so every experiment
 // draws from its own RNG stream and results are invariant to execution
-// order and worker count. RunAll and RunAllParallel share this derivation,
-// which is what makes their outputs bit-identical.
+// order and worker count. RunAll, RunOne and the sweep scheduler share this
+// derivation, which is what makes their outputs bit-identical.
 func (o Options) perExperiment(id string) Options {
 	o.Seed = sim.DeriveSeed(o.Seed, id)
 	return o
 }
 
 // RunAll executes every experiment serially and returns results in paper
-// order, aborting on the first failure. It is the workers==1 reference for
-// RunAllParallel and produces bit-identical results.
+// order, aborting on the first failure. It is the serial monolithic
+// reference for the sweep scheduler and produces bit-identical results.
 func RunAll(o Options) ([]*Result, error) {
 	var out []*Result
 	for _, e := range Registry() {

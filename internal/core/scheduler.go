@@ -116,28 +116,6 @@ type RunConfig struct {
 	ObserveShard func(wait, run time.Duration)
 }
 
-// RunAllParallel executes every registered experiment across a pool of
-// `workers` goroutines (runtime.NumCPU() if workers <= 0). Unlike RunAll it
-// does not abort on failure: it returns every successful Result in paper
-// order plus a joined error covering the failures, so one broken experiment
-// costs one table, not the run. Results are bit-identical to RunAll's for
-// the same Options.
-func RunAllParallel(o Options, workers int) ([]*Result, error) {
-	return RunAllParallelProgress(o, workers, nil)
-}
-
-// RunAllParallelProgress is RunAllParallel with a progress callback
-// receiving shard-level and experiment-completion events.
-//
-// Callback contract: the callback is serialized (never invoked
-// concurrently) on a dedicated emitter goroutine, decoupled from the worker
-// pool through a buffered channel sized to the run's total event count —
-// a slow consumer (a terminal printer, an SSE fan-out) delays only later
-// callbacks, never shard execution.
-func RunAllParallelProgress(o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return runSet(Registry(), o, RunConfig{Workers: workers}, progress)
-}
-
 // ResolveIDs maps a requested experiment-ID set onto the registry: the
 // returned experiments are in paper order regardless of request order, and
 // an empty request selects the whole registry. This is the canonicalization
@@ -170,30 +148,11 @@ func ResolveIDs(ids []string) ([]Experiment, error) {
 	return out, nil
 }
 
-// RunIDs executes the named experiments (all of them when ids is empty)
-// through the shard scheduler, with the same derived seeds the full-suite
-// runners use — a job over a subset reproduces exactly those sections of a
-// full run. Like RunAllParallel it returns partial results in paper order
-// plus a joined error for any failures.
-func RunIDs(ids []string, o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return RunIDsConfig(ids, o, RunConfig{Workers: workers}, progress)
-}
-
-// RunIDsConfig is RunIDs with full scheduling control (worker count plus an
-// optional external slot gate; see RunConfig).
-func RunIDsConfig(ids []string, o Options, cfg RunConfig, progress func(Progress)) ([]*Result, error) {
-	exps, err := ResolveIDs(ids)
-	if err != nil {
-		return nil, err
-	}
-	return runSet(exps, o, cfg, progress)
-}
-
 // RunOne executes a single experiment by ID, monolithically on the calling
 // goroutine, with the same derived per-experiment seed it receives in a
 // full-suite run — and, for planned experiments, the same per-shard derived
 // streams the scheduler uses — so a lone rerun of one experiment reproduces
-// its RunAll/RunAllParallel section exactly.
+// its section of a RunAll or scheduled full-suite run exactly.
 func RunOne(id string, o Options) (*Result, error) {
 	e, err := ByID(id)
 	if err != nil {
@@ -291,15 +250,6 @@ func (er *expRun) elapsed() time.Duration {
 	return 0
 }
 
-// runSet runs one configuration — it is the one-config form of runSweep,
-// kept as the seam scheduler tests inject failing or panicking experiments
-// through without touching the global registry.
-func runSet(exps []Experiment, o Options, cfg RunConfig, progress func(Progress)) ([]*Result, error) {
-	var out []*Result
-	err := runSweep(exps, []Config{o}, cfg, func(_ int, cr ConfigResult, _ error) { out = cr.Results }, progress)
-	return out, err
-}
-
 // runSweep is the scheduler core: the merged task set over every
 // (configuration, experiment, shard) triple, fanned across one worker pool.
 // It operates on an explicit experiment set so tests can inject synthetic
@@ -307,9 +257,9 @@ func runSet(exps []Experiment, o Options, cfg RunConfig, progress func(Progress)
 // complete (see RunSweepStream for the callback contract); the returned
 // error joins every failure across the whole sweep.
 //
-// Each configuration derives its experiment and shard seed streams exactly
-// as a standalone single-configuration run would, so the ConfigResult for
-// configs[i] is identical to what runSet(exps, configs[i], ...) computes —
+// Each configuration derives its experiment and shard seed streams from
+// its own (Scale, Seed) alone, so the ConfigResult for configs[i] is
+// identical to what a one-configuration runSweep over configs[i] computes —
 // batching changes scheduling, never results.
 func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig ReduceConfig, progress func(Progress)) error {
 	tr := cfg.Trace
@@ -394,10 +344,10 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 		})
 	}
 
-	// Progress decoupling (see RunAllParallelProgress): workers send into a
-	// channel with room for every possible event, so emission never blocks
-	// shard execution; one emitter goroutine serializes the callback and
-	// owns the Done counter.
+	// Progress decoupling (see RunSweepStream): workers send into a channel
+	// with room for every possible event, so emission never blocks shard
+	// execution; one emitter goroutine serializes the callback and owns the
+	// Done counter.
 	emit := func(Progress) {}
 	var emitterDone chan struct{}
 	if progress != nil {

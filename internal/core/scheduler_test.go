@@ -23,6 +23,25 @@ func okExp(id string) Experiment {
 	})
 }
 
+// runSet runs one configuration of an explicit experiment set as a
+// one-config sweep — the seam tests inject failing or panicking
+// experiments through without touching the global registry.
+func runSet(exps []Experiment, o Options, cfg RunConfig, progress func(Progress)) ([]*Result, error) {
+	var out []*Result
+	err := runSweep(exps, []Config{o}, cfg, func(_ int, cr ConfigResult, _ error) { out = cr.Results }, progress)
+	return out, err
+}
+
+// runIDs is the one-config sweep over registered experiments (all of them
+// when ids is empty), as every single run in the CLI and daemon issues it.
+func runIDs(ids []string, o Options, workers int) ([]*Result, error) {
+	sr, err := RunSweep(Sweep{IDs: ids, Configs: []Config{o}}, RunConfig{Workers: workers}, nil)
+	if sr == nil {
+		return nil, err
+	}
+	return sr.Runs[0].Results, err
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice")
@@ -32,7 +51,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAllParallel(o, 8)
+	parallel, err := runIDs(nil, o, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +82,7 @@ func TestRunOneMatchesSuiteSection(t *testing.T) {
 	// A lone rerun of one experiment must reproduce its section of the
 	// full suite — same derived seed, same numbers.
 	o := Options{Scale: 0.1, Seed: 5}
-	suite, err := RunAllParallel(o, 4)
+	suite, err := runIDs(nil, o, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +143,11 @@ func TestResolveIDsRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestRunIDsMatchesSuiteSections(t *testing.T) {
+func TestSubsetRunMatchesSuiteSections(t *testing.T) {
 	// A job over a subset must reproduce exactly those sections of a full
 	// run: same derived seeds, same numbers, paper order.
 	o := Options{Scale: 0.1, Seed: 7}
-	subset, err := RunIDs([]string{"fig3", "fig1"}, o, 2, nil)
+	subset, err := runIDs([]string{"fig3", "fig1"}, o, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +160,7 @@ func TestRunIDsMatchesSuiteSections(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(r.Metrics, alone.Metrics) {
-			t.Errorf("%s: RunIDs metrics differ from RunOne:\njob   %v\nalone %v", r.ID, r.Metrics, alone.Metrics)
+			t.Errorf("%s: subset-run metrics differ from RunOne:\njob   %v\nalone %v", r.ID, r.Metrics, alone.Metrics)
 		}
 	}
 }

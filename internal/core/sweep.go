@@ -4,11 +4,10 @@
 // many (Scale, Seed) points — so the batched request, not the single
 // configuration, is the primitive: a Sweep plans one merged shard set over
 // every (configuration, experiment, shard) triple and fans it across one
-// worker pool, while single-configuration entry points (RunIDs, RunAll*)
-// are thin wrappers over a one-config sweep. Batching changes scheduling
-// only: every per-configuration result slice is identical — byte for byte
-// through report.MarshalResults — to the standalone run of that
-// configuration.
+// worker pool, and a single run is simply a one-config Sweep. Batching
+// changes scheduling only: every per-configuration result slice is
+// identical — byte for byte through report.MarshalResults — to the
+// one-config sweep of that configuration and to the serial RunAll.
 
 package core
 
@@ -72,8 +71,7 @@ func (s Sweep) Validate() error {
 type ConfigResult struct {
 	Config Config `json:"config"`
 	// Results are the configuration's experiment results in paper order —
-	// identical to what a standalone RunIDs call with this configuration
-	// returns.
+	// identical to what a one-config sweep of this configuration returns.
 	Results []*Result `json:"results"`
 }
 
@@ -129,6 +127,12 @@ func CanonicalIDs(ids []string) ([]string, error) {
 // off. Per-configuration failures arrive as the callback's err (cr still
 // carries the configuration's surviving results) and are also joined into
 // the returned error alongside every other configuration's failures.
+//
+// progress, when non-nil, receives shard-level and experiment-completion
+// events. It is serialized on a dedicated emitter goroutine, decoupled from
+// the worker pool through a buffer sized to the run's total event count, so
+// a slow consumer (a terminal printer, an SSE fan-out) delays only later
+// callbacks, never shard execution.
 func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress func(Progress)) error {
 	if onConfig == nil {
 		return fmt.Errorf("core: RunSweepStream requires an onConfig callback")
@@ -147,32 +151,24 @@ func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress fun
 // shard) triple is one independent task, fanned across the RunConfig's
 // worker pool (and its optional Acquire gate), so a sweep saturates the
 // same pool a single heavy run does instead of serializing configuration
-// by configuration. Like the other schedulers it is partial on failure:
-// every configuration's surviving results come back alongside one joined
-// error. Unlike the Normalize-based internal paths, RunSweep validates at
-// the boundary — invalid or duplicated configurations and unknown or
-// duplicated experiment IDs are an error before any work starts.
+// by configuration. It is partial on failure: every configuration's
+// surviving results come back alongside one joined error. Unlike the
+// Normalize-based internal paths, RunSweep validates at the boundary —
+// invalid or duplicated configurations and unknown or duplicated
+// experiment IDs are an error (and a nil result) before any work starts.
 //
 // RunSweep is a collector over RunSweepStream: it retains every section,
 // so memory is O(configs). Callers that can consume sections as they
 // complete should use the stream directly.
 func RunSweep(sw Sweep, cfg RunConfig, progress func(Progress)) (*SweepResult, error) {
-	exps, err := ResolveIDs(sw.IDs)
+	ids, err := CanonicalIDs(sw.IDs)
 	if err != nil {
 		return nil, err
 	}
 	if err := sw.Validate(); err != nil {
 		return nil, err
 	}
-	sr := &SweepResult{Runs: make([]ConfigResult, len(sw.Configs))}
-	if len(sw.IDs) > 0 && len(exps) < len(Registry()) {
-		sr.IDs = make([]string, len(exps))
-		for i, e := range exps {
-			sr.IDs[i] = e.ID
-		}
-	}
-	err = runSweep(exps, sw.Configs, cfg, func(i int, cr ConfigResult, _ error) {
-		sr.Runs[i] = cr
-	}, progress)
+	sr := &SweepResult{IDs: ids, Runs: make([]ConfigResult, len(sw.Configs))}
+	err = RunSweepStream(sw, cfg, func(i int, cr ConfigResult, _ error) { sr.Runs[i] = cr }, progress)
 	return sr, err
 }

@@ -194,8 +194,8 @@ func TestTracedRunStaysDeterministic(t *testing.T) {
 		out := map[int]*Result{}
 		err := runSweep(exps, configs, RunConfig{Workers: 4, Trace: tr},
 			func(i int, cr ConfigResult, err error) {
-				for _, r := range cr.Results {
-					out[i*100+len(out)] = r
+				for j, r := range cr.Results {
+					out[i*100+j] = r
 				}
 			}, nil)
 		if err != nil {

@@ -115,14 +115,15 @@ func victimWorker(base string, completions int) {
 		if post("/dist/v1/lease", leaseRequest{WorkerID: reg.WorkerID, WaitMillis: 500}, &lr) != nil {
 			return
 		}
-		if lr.Task == nil {
+		if len(lr.Tasks) == 0 {
 			continue
 		}
+		task := lr.Tasks[0]
 		if done >= completions {
 			return // die holding this lease
 		}
-		out, execErr := core.ExecuteShardRef(lr.Task.Ref)
-		req := completeRequest{WorkerID: reg.WorkerID, TaskID: lr.Task.ID}
+		out, execErr := core.ExecuteShardRef(task.Ref)
+		req := completeRequest{WorkerID: reg.WorkerID, TaskID: task.ID}
 		if execErr != nil {
 			req.Error = execErr.Error()
 		} else {

@@ -9,17 +9,23 @@ import (
 	"zen2ee/internal/core"
 )
 
+// runConfig runs ids at one configuration as a one-config sweep.
+func runConfig(t *testing.T, ids []string, o core.Options, workers int) []*core.Result {
+	t.Helper()
+	sr, err := core.RunSweep(core.Sweep{IDs: ids, Configs: []core.Config{o}}, core.RunConfig{Workers: workers}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr.Runs[0].Results
+}
+
 func TestMarshalResultsDeterministic(t *testing.T) {
 	// Two separate runs of the same spec must produce byte-identical
 	// documents: wall-clock timing is the only nondeterministic field and
 	// must not leak into the encoding.
 	o := core.Options{Scale: 0.2, Seed: 4}
 	run := func() []byte {
-		results, err := core.RunIDs([]string{"fig1", "sec5a"}, o, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := MarshalResults(results, o)
+		b, err := MarshalResults(runConfig(t, []string{"fig1", "sec5a"}, o, 2), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,10 +41,7 @@ func TestMarshalResultsDeterministic(t *testing.T) {
 }
 
 func TestMarshalResultsDoesNotMutateInput(t *testing.T) {
-	results, err := core.RunIDs([]string{"fig1"}, core.Options{Scale: 0.2, Seed: 1}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runConfig(t, []string{"fig1"}, core.Options{Scale: 0.2, Seed: 1}, 1)
 	if results[0].Elapsed <= 0 {
 		t.Fatal("scheduler did not record wall time")
 	}
@@ -52,12 +55,8 @@ func TestMarshalResultsDoesNotMutateInput(t *testing.T) {
 
 func TestWriteJSONDecodes(t *testing.T) {
 	o := core.Options{Scale: 0.2, Seed: 2}
-	results, err := core.RunIDs([]string{"fig1"}, o, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results, o); err != nil {
+	if err := WriteJSON(&buf, runConfig(t, []string{"fig1"}, o, 1), o); err != nil {
 		t.Fatal(err)
 	}
 	var doc JSONReport

@@ -88,6 +88,13 @@ func canonicalIDs(req []string) ([]string, error) {
 // options returns the core run options the spec describes.
 func (s Spec) options() core.Options { return core.Options{Scale: s.Scale, Seed: s.Seed} }
 
+// sweep is the one-config sweep a run job executes as. Its configKey(0) is
+// the spec's own key, so run jobs and sweeps share cache entries and
+// per-configuration claims.
+func (s Spec) sweep() SweepSpec {
+	return SweepSpec{IDs: s.IDs, Configs: []core.Config{s.options()}, Workers: s.Workers}
+}
+
 // key is the spec's content address: a hash over the canonical experiment
 // set, Scale, and Seed. Workers is deliberately excluded (see Spec.Workers).
 func (s Spec) key() string {
@@ -128,8 +135,8 @@ const (
 type job struct {
 	id    string // content address; also the cache key
 	kind  Kind
-	spec  Spec      // valid when kind == KindRun
-	sweep SweepSpec // valid when kind == KindSweep
+	spec  Spec      // the request of a run job (kind == KindRun)
+	sweep SweepSpec // what the job executes: the sweep request, or spec.sweep()
 	// owner is the tenant that first submitted the spec (later identical
 	// submissions dedup onto the job without changing ownership); class
 	// is its scheduling priority. Both are set before the job is shared
@@ -163,7 +170,7 @@ type job struct {
 
 func newJob(spec Spec) *job {
 	return &job{
-		id: spec.key(), kind: KindRun, spec: spec, state: StateQueued,
+		id: spec.key(), kind: KindRun, spec: spec, sweep: spec.sweep(), state: StateQueued,
 		created: time.Now(), subs: map[chan event]struct{}{},
 	}
 }

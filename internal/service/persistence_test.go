@@ -20,18 +20,15 @@ import (
 	"zen2ee/internal/store"
 )
 
-// countingConfig wires counting runners into cfg and returns the counters.
-func countingConfig(cfg Config) (Config, *atomic.Int32, *atomic.Int32) {
-	runs, sweepRuns := &atomic.Int32{}, &atomic.Int32{}
-	cfg.Runner = func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-		runs.Add(1)
-		return core.RunIDsConfig(ids, o, rc, progress)
-	}
+// countingConfig wires a counting runner into cfg and returns the counter:
+// every job, run or sweep, executes through the one SweepRunner.
+func countingConfig(cfg Config) (Config, *atomic.Int32) {
+	runs := &atomic.Int32{}
 	cfg.SweepRunner = func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
-		sweepRuns.Add(1)
+		runs.Add(1)
 		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}
-	return cfg, runs, sweepRuns
+	return cfg, runs
 }
 
 func newTieredStore(t *testing.T, dir string, memEntries int) *store.Tiered {
@@ -61,7 +58,7 @@ func TestDiskTierResurrectsEvictedSweepSections(t *testing.T) {
 	}
 
 	tiered := newTieredStore(t, t.TempDir(), 1)
-	cfg, _, sweepRuns := countingConfig(Config{Store: tiered})
+	cfg, sweepRuns := countingConfig(Config{Store: tiered})
 	_, ts := newTestServer(t, cfg)
 	st, code := postSweep(t, ts, sweepSpec)
 	if code != http.StatusAccepted {
@@ -88,14 +85,7 @@ func TestDiskTierResurrectsEvictedSweepSections(t *testing.T) {
 		t.Fatalf("sweep document has %d sections, want 2", len(doc.Configs))
 	}
 	for _, section := range doc.Configs {
-		results, err := core.RunIDs([]string{"fig1"}, section.Config, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := report.MarshalResults(results, section.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runDirect(t, []string{"fig1"}, section.Config, 1)
 		got, err := section.Document()
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +110,7 @@ func TestColdRestartServesWarmResultsWithoutReexecution(t *testing.T) {
 
 	// First daemon lifetime: compute, then shut down cleanly (Close
 	// flushes and closes the store, releasing the directory).
-	cfg1, runs1, _ := countingConfig(Config{Store: newTieredStore(t, dir, 256)})
+	cfg1, runs1 := countingConfig(Config{Store: newTieredStore(t, dir, 256)})
 	s1 := New(cfg1)
 	ts1 := httptest.NewServer(s1)
 	st1, code := postJob(t, ts1, jobSpec)
@@ -138,7 +128,7 @@ func TestColdRestartServesWarmResultsWithoutReexecution(t *testing.T) {
 	// Second daemon lifetime over the same directory: the spec must be a
 	// cache hit served from disk — same content address, same bytes, zero
 	// executions — even though no job history carried over.
-	cfg2, runs2, _ := countingConfig(Config{Store: newTieredStore(t, dir, 256)})
+	cfg2, runs2 := countingConfig(Config{Store: newTieredStore(t, dir, 256)})
 	_, ts2 := newTestServer(t, cfg2)
 	st2, code := postJob(t, ts2, jobSpec)
 	if code != http.StatusOK {

@@ -15,7 +15,9 @@
 // shards share the executor pool, and the content addressing is *per
 // configuration* — a sweep only runs the configurations no single job (or
 // earlier sweep) has computed, and everything it completes is served to
-// later single jobs from the same cache.
+// later single jobs from the same cache. A single job is itself executed as
+// the one-configuration sweep of its spec, so both request shapes share one
+// execution path (executeSweep) and one test seam (Config.SweepRunner).
 //
 // Endpoints:
 //
@@ -52,19 +54,15 @@ import (
 	"zen2ee/internal/tenant"
 )
 
-// Runner executes a job's experiment set; it is core.RunIDsConfig in
-// production and injectable for tests. The RunConfig carries the daemon's
-// shared executor gate, so injected runners that forward it stay subject to
-// the pool.
-type Runner func(ids []string, o core.Options, cfg core.RunConfig, progress func(core.Progress)) ([]*core.Result, error)
-
-// SweepRunner executes the missing configurations of a sweep job as one
-// merged streaming scheduler run, delivering each configuration through
-// onConfig as it completes; core.RunSweepStream in production, injectable
-// for tests (which observe exactly which configurations the daemon did not
-// serve from cache). Implementations must honor the RunSweepStream
-// callback contract: onConfig invoked exactly once per configuration,
-// never concurrently.
+// SweepRunner executes the missing configurations of a job — a sweep, or
+// the one-config sweep of a run job — as one merged streaming scheduler
+// run, delivering each configuration through onConfig as it completes;
+// core.RunSweepStream in production, injectable for tests (which observe
+// exactly which configurations the daemon did not serve from cache). The
+// RunConfig carries the daemon's shared executor gate, so injected runners
+// that forward it stay subject to the pool. Implementations must honor the
+// RunSweepStream callback contract: onConfig invoked exactly once per
+// configuration, never concurrently.
 type SweepRunner func(sw core.Sweep, cfg core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error
 
 // Config sizes the daemon.
@@ -139,10 +137,8 @@ type Config struct {
 	// memory-over-disk tiered store when started with -store-dir, which
 	// survives restarts and resurrects memory-evicted results.
 	Store store.ResultStore
-	// Runner overrides the experiment runner (tests); nil means core.RunIDs.
-	Runner Runner
-	// SweepRunner overrides the sweep runner (tests); nil means
-	// core.RunSweep.
+	// SweepRunner overrides the runner every job executes through (tests);
+	// nil means core.RunSweepStream.
 	SweepRunner SweepRunner
 }
 
@@ -170,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Store == nil {
 		c.Store = store.NewMemory(c.CacheEntries, c.CacheBytes)
-	}
-	if c.Runner == nil {
-		c.Runner = core.RunIDsConfig
 	}
 	if c.SweepRunner == nil {
 		c.SweepRunner = core.RunSweepStream
@@ -730,12 +723,7 @@ func (s *Server) executor() {
 			j.setRunning()
 			s.metrics.addRunning(1)
 			s.log.Info("job started", "job", shortID(j.id), "kind", j.kind, "tenant", j.owner.Name())
-			switch j.kind {
-			case KindSweep:
-				s.executeSweep(j)
-			default:
-				s.execute(j)
-			}
+			s.executeSweep(j)
 			s.metrics.addRunning(-1)
 			// The owner's breaker sees every terminal outcome, including
 			// completions served from another executor's cache entry.
@@ -832,9 +820,9 @@ func (s *Server) runConfig(j *job, override *int, tr *obs.Trace) (cfg core.RunCo
 
 // progressPublisher adapts core.Progress events into the job's SSE stream
 // (observing experiment latency metrics along the way). remapConfig
-// translates the scheduler's configuration index into the client's request
-// index — identity for single jobs, the missing-subset mapping for sweeps
-// — and configs is the request's total configuration count.
+// translates the scheduler's configuration index within the claimed
+// missing subset into the client's request index, and configs is the
+// request's total configuration count (1 for a run job).
 func (s *Server) progressPublisher(j *job, remapConfig func(int) int, configs int) func(core.Progress) {
 	return func(p core.Progress) {
 		if p.ExperimentDone() && p.Err == nil {
@@ -857,69 +845,6 @@ func (s *Server) progressPublisher(j *job, remapConfig func(int) int, configs in
 		}
 		j.publish("progress", ev)
 	}
-}
-
-func (s *Server) execute(j *job) {
-	// Per-configuration singleflight: a sweep may be simulating this very
-	// configuration under a different job address. Wait for the holder and
-	// take the cached payload instead of running a duplicate; claims are
-	// only held by executing jobs, so the wait always ends.
-	for {
-		wait, claimed := s.running.begin(j.id)
-		if claimed {
-			break
-		}
-		<-wait
-		if payload, ok := s.cache.Get(j.id); ok {
-			j.setDoneCached(payload)
-			s.metrics.add(&s.metrics.cacheHits, 1)
-			s.metrics.add(&s.metrics.jobsDone, 1)
-			return
-		}
-		// The holder failed; retry the claim and run it ourselves.
-	}
-	defer s.running.end(j.id)
-	if payload, ok := s.cache.Get(j.id); ok {
-		// Double-check after claiming: the previous holder may have
-		// finished between our admission-time probe and now.
-		j.setDoneCached(payload)
-		s.metrics.add(&s.metrics.cacheHits, 1)
-		s.metrics.add(&s.metrics.jobsDone, 1)
-		return
-	}
-
-	tr := s.newTrace()
-	runCfg, finishRun := s.runConfig(j, j.spec.Workers, tr)
-	runStart := time.Now()
-	results, err := s.cfg.Runner(j.spec.IDs, j.spec.options(), runCfg,
-		s.progressPublisher(j, func(ci int) int { return ci }, 1))
-	runDur := time.Since(runStart)
-	finishRun()
-	if err == nil {
-		var payload []byte
-		marshalStart := time.Now()
-		payload, err = report.MarshalResults(results, j.spec.options())
-		marshalDur := time.Since(marshalStart)
-		tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: -1, Worker: -1,
-			Start: tr.Offset(marshalStart), Dur: marshalDur})
-		if err == nil {
-			j.setLatency(runDur, marshalDur)
-			s.storeTrace(j, tr)
-			s.cache.Put(j.id, payload)
-			j.setDone(payload)
-			s.metrics.add(&s.metrics.jobsDone, 1)
-			s.log.Info("job done", "job", shortID(j.id), "kind", j.kind,
-				"tenant", j.owner.Name(), "run", runDur, "marshal", marshalDur)
-			return
-		}
-		err = fmt.Errorf("encoding results: %w", err)
-	}
-	j.setLatency(runDur, 0)
-	s.storeTrace(j, tr)
-	j.setFailed(err)
-	s.metrics.add(&s.metrics.jobsFailed, 1)
-	s.log.Error("job failed", "job", shortID(j.id), "kind", j.kind,
-		"tenant", j.owner.Name(), "error", err)
 }
 
 // newTrace builds the per-job execution trace recorder; nil (the disabled
@@ -949,7 +874,7 @@ func (s *Server) storeTrace(j *job, tr *obs.Trace) {
 	j.setTrace(b)
 }
 
-// --- job state helpers (here rather than job.go: they pair with execute) ---
+// --- job state helpers (here rather than job.go: they pair with executeSweep) ---
 
 func (j *job) currentState() State {
 	j.mu.Lock()
@@ -965,28 +890,21 @@ func (j *job) setRunning() {
 }
 
 // setDone and setFailed flip the job to its terminal state and log the
-// terminal event in one critical section (see publishLocked).
+// terminal event in one critical section (see publishLocked). cached marks
+// a payload another executor (or an earlier run) produced — the
+// per-configuration singleflight's hit path, distinct from
+// completeFromCache, which never left the submit handler.
 
-func (j *job) setDone(payload []byte) {
+func (j *job) setDone(payload []byte, cached bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
 	j.payload = payload
+	j.cached = cached
 	j.finished = time.Now()
 	j.publishLocked("done", terminalEvent{
 		ID: j.id, State: StateDone, ElapsedSeconds: j.finished.Sub(j.started).Seconds(),
 	})
-}
-
-// setDoneCached finishes a running job with a payload another executor
-// (or an earlier run) produced — the per-configuration singleflight's hit
-// path, distinct from completeFromCache, which never left the submit
-// handler.
-func (j *job) setDoneCached(payload []byte) {
-	j.mu.Lock()
-	j.cached = true
-	j.mu.Unlock()
-	j.setDone(payload)
 }
 
 func (j *job) setFailed(err error) {
@@ -1012,12 +930,6 @@ func (j *job) completeFromCache(payload []byte) {
 	j.state = StateDone
 	j.payload = payload
 	j.cached = true
-	if j.kind == KindSweep {
-		j.cachedConfigs = make([]bool, len(j.sweep.Configs))
-		for i := range j.cachedConfigs {
-			j.cachedConfigs[i] = true
-		}
-	}
 	j.started = j.created
 	j.finished = j.created
 	j.publishLocked("done", terminalEvent{ID: j.id, State: StateDone})

@@ -48,6 +48,22 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (Status, int) {
 	return st, resp.StatusCode
 }
 
+// runDirect computes ids at one configuration outside the daemon — the
+// one-config sweep the CLI's `run -json` issues — and returns the canonical
+// document daemon payloads must match byte for byte.
+func runDirect(t *testing.T, ids []string, o core.Options, workers int) []byte {
+	t.Helper()
+	sr, err := core.RunSweep(core.Sweep{IDs: ids, Configs: []core.Config{o}}, core.RunConfig{Workers: workers}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := report.MarshalResults(sr.Runs[0].Results, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func getBody(t *testing.T, url string) (string, int) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -160,6 +176,17 @@ func TestEndToEnd(t *testing.T) {
 	if progress != 2 || done != 1 {
 		t.Fatalf("SSE stream had %d progress / %d done events, want 2/1 (%v)", progress, done, events)
 	}
+	// A run job executes as a one-config sweep, but keeps the run wire
+	// shape: progress events, then done — no per-config section events.
+	for i, e := range events {
+		want := "progress"
+		if i == len(events)-1 {
+			want = "done"
+		}
+		if e.name != want {
+			t.Fatalf("SSE event %d is %q; a run job streams only progress events then done (%v)", i, e.name, events)
+		}
+	}
 
 	final := waitState(t, ts, st.ID)
 	if final.State != StateDone || final.Error != "" {
@@ -167,6 +194,16 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if len(final.Results) == 0 {
 		t.Fatal("done job status does not embed results")
+	}
+	statusBody, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
+	var rawStatus map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(statusBody), &rawStatus); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"sweep", "cached_configs"} {
+		if _, ok := rawStatus[field]; ok {
+			t.Errorf("run job status carries the sweep field %q: %s", field, statusBody)
+		}
 	}
 
 	payload1, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
@@ -176,15 +213,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// The daemon payload must be byte-identical to what the CLI's -json
 	// mode produces for the same spec (the diffability contract).
-	opts := core.Options{Scale: 0.2, Seed: 3}
-	results, err := core.RunIDs([]string{"fig1", "sec5a"}, opts, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := report.MarshalResults(results, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, []string{"fig1", "sec5a"}, core.Options{Scale: 0.2, Seed: 3}, 0)
 	if payload1 != string(direct) {
 		t.Fatal("daemon payload differs from the CLI's canonical JSON for the same spec")
 	}
@@ -224,10 +253,10 @@ func TestEndToEnd(t *testing.T) {
 func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 	var runs atomic.Int32
 	gate := make(chan struct{})
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 		runs.Add(1)
 		<-gate
-		return core.RunIDsConfig(ids, o, rc, progress)
+		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}}
 	_, ts := newTestServer(t, cfg)
 
@@ -273,9 +302,9 @@ func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 // go test -race in CI.
 func TestHammerIdenticalRequests(t *testing.T) {
 	var runs atomic.Int32
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 		runs.Add(1)
-		return core.RunIDsConfig(ids, o, rc, progress)
+		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}}
 	_, ts := newTestServer(t, cfg)
 
@@ -336,7 +365,7 @@ func TestLoneJobShardsAcrossExecutors(t *testing.T) {
 	var closeOverlap sync.Once
 	cfg := Config{
 		Executors: 4,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 			inner := rc.Acquire
 			rc.Acquire = func() func() {
 				release := inner()
@@ -357,7 +386,7 @@ func TestLoneJobShardsAcrossExecutors(t *testing.T) {
 				}
 				return func() { held.Add(-1); release() }
 			}
-			return core.RunIDsConfig(ids, o, rc, progress)
+			return core.RunSweepStream(sw, rc, onConfig, progress)
 		},
 	}
 	_, ts := newTestServer(t, cfg)
@@ -379,15 +408,7 @@ func TestLoneJobShardsAcrossExecutors(t *testing.T) {
 	// Determinism through the daemon: the concurrent sharded payload equals
 	// the single-worker direct computation.
 	payload, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
-	opts := core.Options{Scale: 0.5, Seed: 2}
-	results, err := core.RunIDs([]string{"fig7"}, opts, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := report.MarshalResults(results, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, []string{"fig7"}, core.Options{Scale: 0.5, Seed: 2}, 1)
 	if payload != string(direct) {
 		t.Fatal("sharded daemon payload differs from the serial reference bytes")
 	}
@@ -512,10 +533,10 @@ func TestQueueFullRejects(t *testing.T) {
 	defer close(gate)
 	started := make(chan struct{}, 8)
 	cfg := Config{QueueDepth: 1, Executors: 1,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 			started <- struct{}{}
 			<-gate
-			return core.RunIDsConfig(ids, o, rc, progress)
+			return core.RunSweepStream(sw, rc, onConfig, progress)
 		}}
 	_, ts := newTestServer(t, cfg)
 
@@ -549,9 +570,9 @@ func TestUnknownJob(t *testing.T) {
 func TestResultBeforeDone(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 		<-gate
-		return core.RunIDsConfig(ids, o, rc, progress)
+		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}}
 	_, ts := newTestServer(t, cfg)
 	st, _ := postJob(t, ts, `{"ids":["fig1"]}`)
@@ -562,11 +583,11 @@ func TestResultBeforeDone(t *testing.T) {
 
 func TestFailedJobsRetryAndReportViaSSE(t *testing.T) {
 	var calls atomic.Int32
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 		if calls.Add(1) == 1 {
-			return nil, fmt.Errorf("synthetic backend failure")
+			return fmt.Errorf("synthetic backend failure")
 		}
-		return core.RunIDsConfig(ids, o, rc, progress)
+		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}}
 	srv, ts := newTestServer(t, cfg)
 
@@ -652,9 +673,9 @@ func TestJobHistoryEvictionFallsBackToCache(t *testing.T) {
 	// With a tiny job table, an old finished job's record is evicted, but
 	// resubmitting its spec is still a cache hit (no new simulation).
 	var runs atomic.Int32
-	cfg := Config{JobHistory: 1, Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{JobHistory: 1, SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 		runs.Add(1)
-		return core.RunIDsConfig(ids, o, rc, progress)
+		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}}
 	_, ts := newTestServer(t, cfg)
 

@@ -1,8 +1,9 @@
-// The sweep request path: POST /v1/sweeps batches many (Scale, Seed)
-// configurations of one experiment set into a single job. The daemon
-// content-addresses sweeps *per configuration*: before running anything it
-// checks each configuration against the same cache single jobs populate,
-// hands only the missing configurations to one merged core.RunSweep call
+// The sweep execution path. Every job is a sweep: POST /v1/sweeps batches
+// many (Scale, Seed) configurations of one experiment set into a single
+// job, and a POST /v1/jobs run is the one-configuration sweep of its spec.
+// The daemon content-addresses work *per configuration*: before running
+// anything it checks each configuration against the shared cache, hands
+// only the missing configurations to one merged core.RunSweepStream call
 // (so their shards share the executor pool), and stores every completed
 // configuration back under its single-job key — a sweep warms the cache
 // for later single jobs and vice versa.
@@ -123,21 +124,29 @@ type configCachedEvent struct {
 	Cached  bool `json:"cached,omitempty"`
 }
 
-// executeSweep drives a sweep job on the streaming scheduler: per-config
-// cache probe and singleflight claim, one merged RunSweepStream over the
+// executeSweep drives a job on the streaming scheduler: per-config cache
+// probe and singleflight claim, one merged RunSweepStream over the
 // configurations this job claimed — each completed configuration is
-// marshaled, cached under its single-job content address, and announced
-// over SSE the moment its last shard finishes — then a wait-and-reprobe
-// round for configurations another executor was already simulating. The
-// job stores no payload of its own: the sweep document is assembled from
-// the per-config cache entries on demand (statusOf, serveSweepResult), so
-// the daemon's memory is bounded by the sections in flight, never by the
-// sweep size.
+// marshaled, cached under its single-job content address, and (for sweep
+// jobs) announced over SSE the moment its last shard finishes — then a
+// wait-and-reprobe round for configurations another executor was already
+// simulating. A sweep job stores no payload of its own: its document is
+// assembled from the per-config cache entries on demand (statusOf,
+// serveSweepResult), so the daemon's memory is bounded by the sections in
+// flight, never by the sweep size.
+//
+// A run job is the one-config sweep of its spec (configKey(0) is its own
+// job id), and keeps the pre-sweep wire shape: its payload stays on the
+// job, it emits no per-config SSE events, and when a concurrent job filled
+// its configuration it reports a cached completion (no latency, no trace)
+// counted as a cache hit rather than a sweep config.
 func (s *Server) executeSweep(j *job) {
 	spec := j.sweep
+	isSweep := j.kind == KindSweep
 	n := len(spec.Configs)
 	done := make([]bool, n)
 	cached := make([]bool, n)
+	var payload []byte // a run job's document
 	pending := make([]int, n)
 	for i := range pending {
 		pending[i] = i
@@ -161,11 +170,15 @@ func (s *Server) executeSweep(j *job) {
 				waits = append(waits, wait)
 				continue
 			}
-			if _, ok := s.cache.Get(spec.configKey(i)); ok {
+			if p, ok := s.cache.Get(spec.configKey(i)); ok {
 				s.running.end(spec.configKey(i))
 				done[i], cached[i] = true, true
-				s.metrics.add(&s.metrics.sweepConfigsCached, 1)
-				j.publish("config-cached", configCachedEvent{Config: i, Configs: n, Cached: true})
+				if isSweep {
+					s.metrics.add(&s.metrics.sweepConfigsCached, 1)
+					j.publish("config-cached", configCachedEvent{Config: i, Configs: n, Cached: true})
+				} else {
+					payload = p
+				}
 				continue
 			}
 			mine = append(mine, i)
@@ -196,7 +209,7 @@ func (s *Server) executeSweep(j *job) {
 					}
 					i := mine[k]
 					marshalStart := time.Now()
-					payload, merr := report.MarshalResults(cr.Results, cr.Config)
+					p, merr := report.MarshalResults(cr.Results, cr.Config)
 					marshalDur += time.Since(marshalStart)
 					tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: i, Worker: -1,
 						Start: tr.Offset(marshalStart), Dur: time.Since(marshalStart)})
@@ -206,8 +219,12 @@ func (s *Server) executeSweep(j *job) {
 						}
 						return
 					}
-					s.cache.Put(spec.configKey(i), payload)
+					s.cache.Put(spec.configKey(i), p)
 					done[i] = true
+					if !isSweep {
+						payload = p
+						return
+					}
 					s.metrics.add(&s.metrics.sweepConfigsRun, 1)
 					j.publish("config-done", configCachedEvent{Config: i, Configs: n})
 					s.log.Debug("sweep config done", "job", shortID(j.id), "config", i,
@@ -249,13 +266,26 @@ func (s *Server) executeSweep(j *job) {
 		pending = theirs
 	}
 
-	// Every section sits in the per-config cache; the job completes
-	// without a payload (no whole-document double-buffering). Sweep
+	if !isSweep {
+		if cached[0] {
+			// Another executor (or an earlier run) produced the document:
+			// a cache hit that never ran, so no latency and no trace.
+			j.setDone(payload, true)
+			s.metrics.add(&s.metrics.cacheHits, 1)
+			s.metrics.add(&s.metrics.jobsDone, 1)
+			return
+		}
+		// A run job's run_seconds excludes the document encoding, which
+		// marshal_seconds reports on its own.
+		runDur -= marshalDur
+	}
+	// A sweep job completes without a payload (no whole-document
+	// double-buffering): every section sits in the per-config cache. Sweep
 	// run_seconds includes the per-section encoding, which happens inside
 	// the streaming run; marshal_seconds still reports it separately.
 	j.setLatency(runDur, marshalDur)
 	s.storeTrace(j, tr)
-	j.setDone(nil)
+	j.setDone(payload, false)
 	s.metrics.add(&s.metrics.jobsDone, 1)
 	s.log.Info("job done", "job", shortID(j.id), "kind", j.kind,
 		"tenant", j.owner.Name(), "run", runDur, "marshal", marshalDur)

@@ -123,14 +123,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 	// Byte-identity per section against the standalone computation.
 	for _, section := range doc.Configs {
-		results, err := core.RunIDs([]string{"fig1", "sec5a"}, section.Config, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := report.MarshalResults(results, section.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runDirect(t, []string{"fig1", "sec5a"}, section.Config, 1)
 		got, err := section.Document()
 		if err != nil {
 			t.Fatal(err)
@@ -188,11 +181,13 @@ func TestSweepSharesCacheWithSingleJobs(t *testing.T) {
 		final.CachedConfigs[0] != want[0] || final.CachedConfigs[1] != want[1] || final.CachedConfigs[2] != want[2] {
 		t.Fatalf("cached_configs %v, want %v", final.CachedConfigs, want)
 	}
-	// Execution-count observation: the scheduler saw only the two missing
-	// configurations, never the warmed one.
+	// Execution-count observation: after the single job's own run of seed
+	// 3, the scheduler saw only the sweep's two missing configurations,
+	// never the warmed one.
 	ran := counter.ranConfigs()
-	if len(ran) != 2 || ran[0] != (core.Config{Scale: 0.2, Seed: 4}) || ran[1] != (core.Config{Scale: 0.2, Seed: 5}) {
-		t.Fatalf("sweep ran configs %+v, want only seeds 4 and 5", ran)
+	if len(ran) != 3 || ran[0] != (core.Config{Scale: 0.2, Seed: 3}) ||
+		ran[1] != (core.Config{Scale: 0.2, Seed: 4}) || ran[2] != (core.Config{Scale: 0.2, Seed: 5}) {
+		t.Fatalf("runner ran configs %+v, want seed 3 (the single job), then only seeds 4 and 5", ran)
 	}
 
 	// The warmed section's bytes are exactly the single job's payload.
@@ -234,7 +229,7 @@ func TestSweepSharesCacheWithSingleJobs(t *testing.T) {
 		t.Fatalf("widened sweep finished as %+v", final)
 	}
 	ran = counter.ranConfigs()
-	if len(ran) != 3 || ran[2] != (core.Config{Scale: 0.2, Seed: 6}) {
+	if len(ran) != 4 || ran[3] != (core.Config{Scale: 0.2, Seed: 6}) {
 		t.Fatalf("widened sweep re-ran configs: %+v (want one new run for seed 6)", ran)
 	}
 
@@ -368,19 +363,21 @@ func TestJobsList(t *testing.T) {
 // single job is *currently* simulating must not run it a second time — it
 // waits for the holder and takes the cached payload.
 func TestSweepWaitsForInFlightSingleJob(t *testing.T) {
-	var singleRuns atomic.Int32
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
 	counter := &countingSweepRunner{}
+	single := core.Config{Scale: 0.2, Seed: 7}
 	cfg := Config{
 		Executors: 2,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-			singleRuns.Add(1)
-			started <- struct{}{}
-			<-gate
-			return core.RunIDsConfig(ids, o, rc, progress)
+		// The single job's run is the one-config sweep of (0.2, 7): park it
+		// mid-simulation; everything else runs straight through.
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
+			if len(sw.Configs) == 1 && sw.Configs[0] == single {
+				started <- struct{}{}
+				<-gate
+			}
+			return counter.run(sw, rc, onConfig, progress)
 		},
-		SweepRunner: counter.run,
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -401,11 +398,22 @@ func TestSweepWaitsForInFlightSingleJob(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("sweep finished as %+v", final)
 	}
-	if got := counter.ranConfigs(); len(got) != 1 || got[0] != (core.Config{Scale: 0.2, Seed: 8}) {
-		t.Fatalf("sweep ran configs %+v, want only the cold seed 8 (seed 7 must come from the in-flight job)", got)
+	// The runner saw seed 7 once (the single job) and seed 8 once (the
+	// sweep): the sweep never re-simulated the in-flight configuration.
+	singleRuns := 0
+	var sweepRan []core.Config
+	for _, c := range counter.ranConfigs() {
+		if c == single {
+			singleRuns++
+		} else {
+			sweepRan = append(sweepRan, c)
+		}
 	}
-	if n := singleRuns.Load(); n != 1 {
-		t.Fatalf("configuration (0.2, 7) simulated %d times, want 1", n)
+	if len(sweepRan) != 1 || sweepRan[0] != (core.Config{Scale: 0.2, Seed: 8}) {
+		t.Fatalf("sweep ran configs %+v, want only the cold seed 8 (seed 7 must come from the in-flight job)", sweepRan)
+	}
+	if singleRuns != 1 {
+		t.Fatalf("configuration (0.2, 7) simulated %d times, want 1", singleRuns)
 	}
 	// The shared section's bytes are the single job's payload.
 	waitState(t, ts, stSingle.ID)
@@ -433,13 +441,15 @@ func TestSingleJobWaitsForInFlightSweep(t *testing.T) {
 	started := make(chan struct{}, 1)
 	cfg := Config{
 		Executors: 2,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-			singleRuns.Add(1)
-			return core.RunIDsConfig(ids, o, rc, progress)
-		},
+		// The two-config sweep parks mid-run; a one-config run is the
+		// single job simulating on its own.
 		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
-			started <- struct{}{}
-			<-gate
+			if len(sw.Configs) == 1 {
+				singleRuns.Add(1)
+			} else {
+				started <- struct{}{}
+				<-gate
+			}
 			return core.RunSweepStream(sw, rc, onConfig, progress)
 		},
 	}
@@ -462,8 +472,32 @@ func TestSingleJobWaitsForInFlightSweep(t *testing.T) {
 	if !finalSingle.Cached {
 		t.Fatal("single job for the swept config did not report a cache hit")
 	}
+	if finalSingle.Latency != nil {
+		t.Fatalf("cache-served single job reports a latency breakdown %+v; it never ran", finalSingle.Latency)
+	}
 	if n := singleRuns.Load(); n != 0 {
 		t.Fatalf("single runner simulated %d times, want 0 (the sweep's fill must serve it)", n)
+	}
+	// The single job's cache-served completion keeps the run wire shape:
+	// a bare done event, counted as a cache hit, never as a sweep config.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + stSingle.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, resp.Body)
+	resp.Body.Close()
+	if len(events) != 1 || events[0].name != "done" {
+		t.Fatalf("cache-served single job streamed %v, want exactly one done event", events)
+	}
+	metricsText, _ := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"zen2eed_cache_hits_total 1",
+		"zen2eed_sweep_configs_run_total 2",
+		"zen2eed_sweep_configs_cached_total 0",
+	} {
+		if !strings.Contains(metricsText, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metricsText)
+		}
 	}
 	singlePayload, _ := getBody(t, ts.URL+"/v1/jobs/"+stSingle.ID+"/result")
 	sweepPayload, _ := getBody(t, ts.URL+"/v1/jobs/"+stSweep.ID+"/result")
@@ -683,9 +717,9 @@ func TestSSEKeepalive(t *testing.T) {
 	gate := make(chan struct{})
 	cfg := Config{
 		SSEKeepAlive: 20 * time.Millisecond,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 			<-gate
-			return core.RunIDsConfig(ids, o, rc, progress)
+			return core.RunSweepStream(sw, rc, onConfig, progress)
 		},
 	}
 	_, ts := newTestServer(t, cfg)

@@ -167,10 +167,10 @@ func TestTenantQueueQuota429(t *testing.T) {
 		{Name: "batch", Key: "kb", MaxQueued: 1},
 	}})
 	cfg := Config{Executors: 1, QueueDepth: 8, Tenants: reg,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 			started <- struct{}{}
 			<-gate
-			return core.RunIDsConfig(ids, o, rc, progress)
+			return core.RunSweepStream(sw, rc, onConfig, progress)
 		}}
 	_, ts := newTestServer(t, cfg)
 
@@ -293,31 +293,28 @@ func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
 	}})
 	cfg := Config{
 		Executors: 2, Tenants: reg,
+		// The six-config sweep's shards are bulk; the interactive job is
+		// a one-config run.
 		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
+			class := "live"
+			if len(sw.Configs) > 1 {
+				class = "bulk"
+			}
 			inner := rc.Acquire
 			rc.Acquire = func() func() {
 				rel := inner()
 				mu.Lock()
-				order = append(order, "bulk")
+				order = append(order, class)
 				mu.Unlock()
-				select {
-				case <-release:
-				case <-freeRun:
+				if class == "bulk" {
+					select {
+					case <-release:
+					case <-freeRun:
+					}
 				}
 				return rel
 			}
 			return core.RunSweepStream(sw, rc, onConfig, progress)
-		},
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-			inner := rc.Acquire
-			rc.Acquire = func() func() {
-				rel := inner()
-				mu.Lock()
-				order = append(order, "live")
-				mu.Unlock()
-				return rel
-			}
-			return core.RunIDsConfig(ids, o, rc, progress)
 		},
 	}
 	s, ts := newTestServer(t, cfg)

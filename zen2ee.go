@@ -387,46 +387,17 @@ func RunExperiment(id string, o Options) (*Result, error) {
 	return core.RunOne(id, o)
 }
 
-// RunAllExperiments executes the full suite serially.
+// RunAllExperiments executes the full suite serially on the calling
+// goroutine — the monolithic reference the scheduled RunSweep reproduces.
 func RunAllExperiments(o Options) ([]*Result, error) { return core.RunAll(o) }
 
 // Progress re-exports the scheduler's event type. Two kinds of event share
 // it: shard events (Shard in 1..Shards) as a sharded experiment's units of
 // work complete, and experiment-completion events (Shard == 0, i.e.
 // ExperimentDone() true) — the events pre-shard consumers were built on.
-// Done/Total always count experiments, never shards.
+// Done/Total count (configuration, experiment) pairs, never shards; in a
+// one-config sweep they are experiment counts.
 type Progress = core.Progress
-
-// RunAllExperimentsParallel executes the full suite across a pool of
-// workers goroutines (all CPUs if workers <= 0). Results are bit-identical
-// to RunAllExperiments for the same Options; failures are joined into one
-// error while the remaining results still come back.
-func RunAllExperimentsParallel(o Options, workers int) ([]*Result, error) {
-	return core.RunAllParallel(o, workers)
-}
-
-// RunAllExperimentsParallelProgress is RunAllExperimentsParallel with a
-// per-experiment completion callback (serialized, must not block).
-func RunAllExperimentsParallelProgress(o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return core.RunAllParallelProgress(o, workers, progress)
-}
-
-// RunExperimentSet executes the named experiments (all of them when ids is
-// empty) through the shard scheduler, with the same derived seeds the
-// full-suite runners use — a subset run reproduces exactly those sections
-// of a full run, byte-identically for every worker count. This is the
-// entry point the zen2eed daemon serves jobs through.
-func RunExperimentSet(ids []string, o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return core.RunIDs(ids, o, workers, progress)
-}
-
-// RunExperimentSetConfig is RunExperimentSet with full scheduling control:
-// RunConfig adds an optional Acquire gate letting an embedding service
-// bound total shard concurrency across multiple concurrent runs while a
-// lone run still spreads over the whole pool.
-func RunExperimentSetConfig(ids []string, o Options, cfg RunConfig, progress func(Progress)) ([]*Result, error) {
-	return core.RunIDsConfig(ids, o, cfg, progress)
-}
 
 // --- Sweeps: the batched (Scale, Seed) configuration grid ---
 
@@ -443,8 +414,8 @@ type Sweep = core.Sweep
 type ConfigResult = core.ConfigResult
 
 // SweepResult re-exports the reduction of a sweep: per-configuration
-// result sets in request order, each identical to the standalone
-// RunExperimentSet output for that configuration.
+// result sets in request order, each identical to the one-config sweep of
+// that configuration.
 type SweepResult = core.SweepResult
 
 // Grid expands the Scales × Seeds cross-product into sweep configurations
@@ -455,12 +426,13 @@ func Grid(scales []float64, seeds []uint64) []Config { return core.Grid(scales, 
 // shard) triple is an independent unit fanned across one worker pool, so
 // a multi-configuration sensitivity study saturates the same pool a
 // single heavy run does instead of serializing configuration by
-// configuration. Batching never changes results — each per-configuration
-// section is byte-identical (through the canonical JSON document) to the
-// standalone single-configuration run. Failures are partial, like the
-// other schedulers: surviving sections come back alongside one joined
-// error. This is the entry point the zen2eed daemon serves POST
-// /v1/sweeps through.
+// configuration. It is the one scheduled run entry point: a single run is
+// the one-config Sweep{IDs: ids, Configs: []Config{o}}, and its section is
+// bit-identical to RunAllExperiments/RunExperiment for the same Options.
+// Batching never changes results — each per-configuration section is
+// byte-identical (through the canonical JSON document) to the one-config
+// sweep of that configuration. Failures are partial: surviving sections
+// come back alongside one joined error.
 func RunSweep(sw Sweep, cfg RunConfig, progress func(Progress)) (*SweepResult, error) {
 	return core.RunSweep(sw, cfg, progress)
 }
