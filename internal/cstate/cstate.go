@@ -103,7 +103,7 @@ type Model struct {
 	// enabled[t][s] — sysfs "disable" files; C0 cannot be disabled.
 	enabled [][NumStates]bool
 
-	// beforeBuf/afterBuf are mutate's reused active-count scratch space;
+	// beforeBuf/afterBuf are mutateAll's reused active-count scratch space;
 	// bufBusy guards against re-entrant mutation (falls back to allocating).
 	beforeBuf, afterBuf []int
 	bufBusy             bool
@@ -229,6 +229,33 @@ func (m *Model) mutate(t soc.ThreadID, f func()) {
 	if m.BeforeChange != nil {
 		m.BeforeChange()
 	}
+	if t >= 0 {
+		m.mutateThread(t, f)
+	} else {
+		m.mutateAll(f)
+	}
+	if m.AfterChange != nil {
+		m.AfterChange()
+	}
+}
+
+// mutateThread applies a change confined to thread t's own state, so only
+// t's core can change its active count.
+func (m *Model) mutateThread(t soc.ThreadID, f func()) {
+	core := m.top.Threads[t].Core
+	before := m.ActiveThreads(core)
+	f()
+	if m.Dirty != nil {
+		m.Dirty(t)
+	}
+	if after := m.ActiveThreads(core); after != before && m.OnCoreActive != nil {
+		m.OnCoreActive(core, after)
+	}
+}
+
+// mutateAll applies a change that may move any thread's effective state
+// and recounts every core.
+func (m *Model) mutateAll(f func()) {
 	before, after := m.beforeBuf, m.afterBuf
 	reused := !m.bufBusy && before != nil
 	if reused {
@@ -240,11 +267,7 @@ func (m *Model) mutate(t soc.ThreadID, f func()) {
 	}
 	m.coreActiveCounts(before)
 	f()
-	if t >= 0 {
-		if m.Dirty != nil {
-			m.Dirty(t)
-		}
-	} else if m.DirtyAll != nil {
+	if m.DirtyAll != nil {
 		m.DirtyAll()
 	}
 	m.coreActiveCounts(after)
@@ -254,9 +277,6 @@ func (m *Model) mutate(t soc.ThreadID, f func()) {
 				m.OnCoreActive(soc.CoreID(core), after[core])
 			}
 		}
-	}
-	if m.AfterChange != nil {
-		m.AfterChange()
 	}
 }
 

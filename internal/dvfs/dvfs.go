@@ -570,6 +570,18 @@ func (c *Controller) CoreVoltage(core soc.CoreID) float64 {
 	return c.cfg.PStates[c.cores[core].current].Volts
 }
 
+// Table I anchor grid: set frequency × fastest other active core in the
+// CCX, and the measured frequency loss in MHz at each anchor.
+var (
+	couplingSetMHz = []float64{1500, 2200, 2500}
+	couplingMaxMHz = []float64{1500, 2200, 2500}
+	couplingLoss   = [3][3]float64{
+		{0, 34, 72}, // set 1500: measured 1.499/1.466/1.428 GHz
+		{0, 1, 200}, // set 2200: measured 2.200/2.199/2.000 GHz
+		{0, 0, 1},   // set 2500: measured 2.497/2.499/2.499 GHz
+	}
+)
+
 // couplingPenaltyMHz is the empirically-calibrated Table I penalty: the
 // frequency loss of a core at fSet MHz sharing a CCX with an active core at
 // fMax MHz. The paper discloses no mechanism, so the model interpolates
@@ -578,20 +590,12 @@ func couplingPenaltyMHz(fSet, fMax float64) float64 {
 	if fMax <= fSet {
 		return 0
 	}
-	// Anchor grid from Table I (set frequency × fastest other core).
-	setPts := []float64{1500, 2200, 2500}
-	maxPts := []float64{1500, 2200, 2500}
-	penalty := [3][3]float64{
-		{0, 34, 72}, // set 1500: measured 1.499/1.466/1.428 GHz
-		{0, 1, 200}, // set 2200: measured 2.200/2.199/2.000 GHz
-		{0, 0, 1},   // set 2500: measured 2.497/2.499/2.499 GHz
-	}
-	si, st := interpIndex(setPts, fSet)
-	mi, mt := interpIndex(maxPts, fMax)
-	p00 := penalty[si][mi]
-	p01 := penalty[si][min(mi+1, 2)]
-	p10 := penalty[min(si+1, 2)][mi]
-	p11 := penalty[min(si+1, 2)][min(mi+1, 2)]
+	si, st := interpIndex(couplingSetMHz, fSet)
+	mi, mt := interpIndex(couplingMaxMHz, fMax)
+	p00 := couplingLoss[si][mi]
+	p01 := couplingLoss[si][min(mi+1, 2)]
+	p10 := couplingLoss[min(si+1, 2)][mi]
+	p11 := couplingLoss[min(si+1, 2)][min(mi+1, 2)]
 	lo := p00 + mt*(p01-p00)
 	hi := p10 + mt*(p11-p10)
 	return lo + st*(hi-lo)
@@ -613,11 +617,4 @@ func interpIndex(pts []float64, x float64) (int, float64) {
 		}
 	}
 	return last, 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -68,8 +68,8 @@ func fuzzOnce(t *testing.T, seed uint64) {
 			if err := m.SetCStateEnabled(th, s, rng.Intn(2) == 0); err != nil {
 				t.Fatalf("op %d: SetCStateEnabled: %v", op, err)
 			}
-		case 6: // weight change
-			m.SetHammingWeight(th, rng.Float64())
+		case 6: // weight change on both SMT siblings, one refresh
+			m.SetHammingWeights([]soc.ThreadID{th, m.Top.Sibling(th)}, rng.Float64())
 		case 7: // I/O die knob
 			m.SetDRAMClock([]int{1467, 1600}[rng.Intn(2)])
 		}

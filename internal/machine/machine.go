@@ -12,6 +12,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"zen2ee/internal/cstate"
 	"zen2ee/internal/dvfs"
@@ -109,15 +110,17 @@ type Machine struct {
 	inRefresh  bool
 
 	// Incremental-refresh state. Per-core derived values (power-model
-	// inputs, RAPL estimates) and per-thread counter rates are cached across
-	// refreshes; a refresh recomputes them only for cores marked dirty since
-	// the last one. Any mutation that can change a core's derived state
-	// marks its whole CCX dirty (effective frequencies couple within a CCX),
-	// so cached values are always bit-identical to a full recompute — which
-	// `-tags simcheck` builds assert on every refresh.
+	// inputs, effective frequencies, RAPL estimates) and per-thread counter
+	// rates are cached across refreshes; a refresh recomputes them only for
+	// cores marked dirty since the last one. Any mutation that can change a
+	// core's derived state marks its whole CCX dirty (effective frequencies
+	// couple within a CCX), so cached values are always bit-identical to a
+	// full recompute — which `-tags simcheck` builds assert on every
+	// refresh.
 	dirtyAll   bool
 	dirtyCores []bool
 	inputsBuf  []power.CoreInput
+	effMHzBuf  []float64
 	raplWBuf   []float64
 	pkgWBuf    []float64
 	thrCyc     []float64
@@ -143,6 +146,7 @@ func New(cfg Config) *Machine {
 		dirtyAll:   true,
 		dirtyCores: make([]bool, top.NumCores()),
 		inputsBuf:  make([]power.CoreInput, top.NumCores()),
+		effMHzBuf:  make([]float64, top.NumCores()),
 		raplWBuf:   make([]float64, top.NumCores()),
 		pkgWBuf:    make([]float64, len(top.Packages)),
 		thrCyc:     make([]float64, top.NumThreads()),
@@ -164,6 +168,13 @@ func New(cfg Config) *Machine {
 	}
 	m.wirePerfMSRs(nominal)
 
+	// Idle system: every thread parks in the deepest C-state. The hooks are
+	// not wired yet, so this costs no refreshes; the DVFS controller already
+	// counts zero active threads per core, which matches the parked state.
+	for t := 0; t < top.NumThreads(); t++ {
+		m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
+	}
+
 	m.CStates.OnCoreActive = func(core soc.CoreID, n int) { m.DVFS.SetActiveThreads(core, n) }
 	m.CStates.Dirty = m.markThreadDirty
 	m.CStates.DirtyAll = m.markAllDirty
@@ -172,12 +183,15 @@ func New(cfg Config) *Machine {
 	m.DVFS.AfterChange = m.refresh
 
 	m.SMU = smu.New(eng, top, cfg.SMU, m.DVFS, (*activitySource)(m))
-
-	// Idle system: every thread parks in the deepest C-state.
-	for t := 0; t < top.NumThreads(); t++ {
-		m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
-	}
 	m.refresh()
+
+	// Construction is the simulator's allocation burst (~80 KB per machine,
+	// in tens of microseconds), while simulation itself never blocks. Yield
+	// once, so a running GC cycle's mark worker gets a CPU: otherwise it
+	// waits for a scheduler preemption (up to 10 ms), and experiments that
+	// build machines back to back outgrow the heap goal meanwhile, which
+	// shows up as peak RSS.
+	runtime.Gosched()
 	return m
 }
 
@@ -232,13 +246,16 @@ func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64)
 	return lat, nil
 }
 
-// SetHammingWeight changes the operand weight of a running kernel.
-func (m *Machine) SetHammingWeight(t soc.ThreadID, weight float64) {
-	if m.runs[t].active {
-		m.runs[t].weight = weight
-		m.markThreadDirty(t)
-		m.refresh()
+// SetHammingWeights changes the operand weight of the kernels running on
+// the given threads (idle threads are skipped) with a single refresh.
+func (m *Machine) SetHammingWeights(threads []soc.ThreadID, weight float64) {
+	for _, t := range threads {
+		if m.runs[t].active {
+			m.runs[t].weight = weight
+			m.markThreadDirty(t)
+		}
 	}
+	m.refresh()
 }
 
 // StopKernel idles a thread; the cpuidle governor picks the deepest enabled
@@ -395,23 +412,24 @@ func (m *Machine) markThreadDirty(t soc.ThreadID) {
 
 func (m *Machine) markAllDirty() { m.dirtyAll = true }
 
-// deriveCore computes a core's power-model input and its RAPL-model power
-// estimate (before model noise) from current state — the expensive per-core
-// step of refresh.
-func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config) (power.CoreInput, float64) {
-	ci := power.CoreInput{
+// deriveCore computes a core's power-model input (into ci), its effective
+// frequency and its RAPL-model power estimate (before model noise) from
+// current state — the expensive per-core step of refresh.
+func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config, ci *power.CoreInput) (eff, w float64) {
+	*ci = power.CoreInput{
 		State:         m.CStates.CoreState(core),
 		ActiveThreads: m.CStates.ActiveThreads(core),
 	}
+	eff = m.DVFS.EffectiveMHz(core)
 	if ci.ActiveThreads > 0 {
-		eff := m.DVFS.EffectiveMHz(core)
 		ci.GHz = eff / 1000
 		ci.Volts = m.DVFS.VoltageAt(eff)
-		ci.Kernel, ci.HammingWeight = m.coreKernel(core)
+		var k *workload.Kernel
+		k, ci.HammingWeight = m.coreKernel(core)
+		ci.Kernel = *k
 	}
 	// RAPL: per-core activity-event estimate. The toggle (operand) component
 	// is deliberately absent — that is the paper's central RAPL finding.
-	var w float64
 	switch {
 	case ci.ActiveThreads > 0:
 		smt := 1.0
@@ -425,7 +443,7 @@ func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config) (power.CoreIn
 	default:
 		w = raplCfg.CoreC2Static
 	}
-	return ci, w
+	return eff, w
 }
 
 // deriveThread computes a thread's performance-counter rates (cycles,
@@ -469,7 +487,7 @@ func (m *Machine) refresh() {
 			continue
 		}
 		core := soc.CoreID(c)
-		inputs[c], m.raplWBuf[c] = m.deriveCore(core, raplCfg)
+		m.effMHzBuf[c], m.raplWBuf[c] = m.deriveCore(core, raplCfg, &inputs[c])
 		for _, t := range m.Top.Cores[c].Threads {
 			m.thrCyc[t], m.thrIns[t], m.thrMpf[t] = m.deriveThread(t)
 		}
@@ -489,7 +507,7 @@ func (m *Machine) refresh() {
 		for _, ccxID := range ccd.CCXs {
 			hit := false
 			for _, core := range m.Top.CCXs[ccxID].Cores {
-				ci := inputs[core]
+				ci := &inputs[core]
 				if ci.ActiveThreads > 0 && ci.Kernel.MemGBs > 0 {
 					demand += ci.Kernel.MemGBs * ci.GHz / nominalGHz
 					nCores++
@@ -552,48 +570,62 @@ func (m *Machine) refresh() {
 
 // coreKernel picks the kernel and operand weight representing a core: the
 // kernel of its first active running thread; the weight is the maximum over
-// active threads.
-func (m *Machine) coreKernel(core soc.CoreID) (workload.Kernel, float64) {
-	var k workload.Kernel
+// active threads. The kernel is returned by pointer (into the thread's run
+// state, or to workload.Poll) and must not be modified.
+func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
+	var k *workload.Kernel
 	var weight float64
-	found := false
 	for _, t := range m.Top.Cores[core].Threads {
 		if m.CStates.EffectiveState(t) == cstate.C0 && m.runs[t].active {
-			if !found {
-				k = m.runs[t].kernel
-				found = true
+			if k == nil {
+				k = &m.runs[t].kernel
 			}
 			if m.runs[t].weight > weight {
 				weight = m.runs[t].weight
 			}
 		}
 	}
-	if !found {
+	if k == nil {
 		// Active (C0) but not running a kernel: a pause-like OS idle loop
 		// (POLL) — occurs only transiently.
-		k = workload.Poll
+		k = &workload.Poll
 	}
 	return k, weight
 }
 
 // activitySource adapts Machine to smu.ActivitySource: the SMU monitors the
 // machine's own activity and power model (its internal estimate), not the
-// external reference meter.
+// external reference meter. Every mutation ends in refresh, so the SMU reads
+// the per-core caches refresh maintains instead of re-deriving them;
+// `-tags simcheck` builds assert on every read that the cache matches a
+// direct derivation.
 type activitySource Machine
 
 func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
 	m := (*Machine)(a)
-	n := m.CStates.ActiveThreads(core)
-	if n == 0 {
+	m.verifyActivity(core)
+	return cachedCurrentAmps(&m.inputsBuf[core])
+}
+
+// cachedCurrentAmps is the EDC monitor's current model, EDCWeight × f[GHz]
+// × V(f), evaluated on a core's cached power-model input.
+func cachedCurrentAmps(ci *power.CoreInput) float64 {
+	if ci.ActiveThreads == 0 {
 		return 0
 	}
-	k, _ := m.coreKernel(core)
-	eff := m.DVFS.EffectiveMHz(core)
-	return k.EDCWeight(n) * (eff / 1000) * m.DVFS.VoltageAt(eff)
+	return ci.Kernel.EDCWeight(ci.ActiveThreads) * ci.GHz * ci.Volts
 }
 
 func (a *activitySource) CoreActive(core soc.CoreID) bool {
-	return (*Machine)(a).CStates.ActiveThreads(core) > 0
+	m := (*Machine)(a)
+	m.verifyActivity(core)
+	return m.inputsBuf[core].ActiveThreads > 0
+}
+
+func (a *activitySource) CoreEffectiveMHz(core soc.CoreID) float64 {
+	m := (*Machine)(a)
+	m.verifyActivity(core)
+	return m.effMHzBuf[core]
 }
 
 func (a *activitySource) PackageWatts(pkg soc.PackageID) float64 {

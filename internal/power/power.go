@@ -96,7 +96,11 @@ func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
 func (m *Model) Config() Config { return m.cfg }
 
 // CoreWatts returns one core's contribution.
-func (m *Model) CoreWatts(c CoreInput) float64 {
+func (m *Model) CoreWatts(c CoreInput) float64 { return m.coreWatts(&c) }
+
+// The internal helpers take CoreInput by pointer, so the per-refresh loops
+// below do not copy each core's input and kernel descriptor.
+func (m *Model) coreWatts(c *CoreInput) float64 {
 	switch {
 	case c.ActiveThreads > 0:
 		return m.activeCoreWatts(c)
@@ -107,8 +111,8 @@ func (m *Model) CoreWatts(c CoreInput) float64 {
 	}
 }
 
-func (m *Model) activeCoreWatts(c CoreInput) float64 {
-	k := c.Kernel
+func (m *Model) activeCoreWatts(c *CoreInput) float64 {
+	k := &c.Kernel
 	smt := 1.0
 	if c.ActiveThreads > 1 {
 		smt += k.SMTFactor
@@ -122,8 +126,8 @@ func (m *Model) activeCoreWatts(c CoreInput) float64 {
 
 // toggleWatts is the operand-data-dependent component (§VII-B): scaled from
 // the kernel's calibration point at nominal frequency/voltage.
-func (m *Model) toggleWatts(c CoreInput) float64 {
-	k := c.Kernel
+func (m *Model) toggleWatts(c *CoreInput) float64 {
+	k := &c.Kernel
 	if k.ToggleWatts == 0 || c.HammingWeight == 0 {
 		return 0
 	}
@@ -139,8 +143,8 @@ func (m *Model) SystemWatts(in Input) float64 {
 		return p
 	}
 	p += in.IOD.ActiveWatts()
-	for _, c := range in.Cores {
-		p += m.CoreWatts(c)
+	for i := range in.Cores {
+		p += m.coreWatts(&in.Cores[i])
 	}
 	p += iodie.TrafficWatts(in.DRAMTrafficGBs)
 	return p
@@ -150,8 +154,8 @@ func (m *Model) SystemWatts(in Input) float64 {
 // cores — the quantity the RAPL model estimates from activity events.
 func (m *Model) PackageDynWatts(cores []CoreInput) float64 {
 	var p float64
-	for _, c := range cores {
-		if c.ActiveThreads > 0 {
+	for i := range cores {
+		if c := &cores[i]; c.ActiveThreads > 0 {
 			p += m.activeCoreWatts(c)
 		}
 	}

@@ -30,6 +30,9 @@ type ActivitySource interface {
 	CoreCurrentAmps(core soc.CoreID) float64
 	// CoreActive reports whether the core has any thread in C0.
 	CoreActive(core soc.CoreID) bool
+	// CoreEffectiveMHz returns the core's effective clock (after the SMU
+	// cap and CCX coupling), the frequency throttling steps down from.
+	CoreEffectiveMHz(core soc.CoreID) float64
 	// PackageWatts returns the package's present power estimate for the
 	// PPT loop.
 	PackageWatts(pkg soc.PackageID) float64
@@ -150,10 +153,13 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		m.applyBoost(pkg)
 	}
 
-	// Monitor: noisy package current and power readings.
+	// Monitor: noisy package current and power readings, plus the release
+	// threshold — caps at or above the fastest requested (uncapped)
+	// frequency are moot.
 	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
 	var amps float64
 	maxApplied := 0.0
+	release := m.cfg.BoostMHz
 	anyActive := false
 	for _, core := range m.pkgCores[pkg] {
 		if !m.src.CoreActive(core) {
@@ -161,24 +167,15 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		}
 		anyActive = true
 		amps += m.src.CoreCurrentAmps(core)
-		if f := m.ctl.EffectiveMHz(core); f > maxApplied {
+		if f := m.src.CoreEffectiveMHz(core); f > maxApplied {
 			maxApplied = f
-		}
-	}
-	amps *= noise
-	watts := m.src.PackageWatts(pkg) * noise
-
-	// The release threshold: caps at or above the fastest requested
-	// (uncapped) frequency are moot.
-	release := m.cfg.BoostMHz
-	for _, core := range m.pkgCores[pkg] {
-		if !m.src.CoreActive(core) {
-			continue
 		}
 		if f := m.ctl.UncappedMHz(core); f > release {
 			release = f
 		}
 	}
+	amps *= noise
+	watts := m.src.PackageWatts(pkg) * noise
 
 	cap := m.capMHz[pkg]
 	overEDC := amps > m.cfg.EDCAmps
