@@ -4,8 +4,8 @@
 // Usage:
 //
 //	zen2ee list                          # list all experiments
-//	zen2ee run <id>|all [-scale S] [-seed N] [-parallel N] [-csv|-json] [-trace F] [-shard-cache DIR] [-listen-workers ADDR [-min-workers N] [-lease-batch K]]
-//	zen2ee sweep [<id>...|all] [-scales S1,S2] [-seeds N1..N2] [-parallel N] [-json] [-o F] [-trace F] [-shard-cache DIR] [-listen-workers ADDR [-min-workers N] [-lease-batch K]]
+//	zen2ee run <id>|all [-scale S] [-seed N] [-parallel N] [-csv|-json] [-trace F] [-shard-cache DIR] [-listen-workers ADDR [-min-workers N]]
+//	zen2ee sweep [<id>...|all] [-scales S1,S2] [-seeds N1..N2] [-parallel N] [-json] [-o F] [-trace F] [-shard-cache DIR] [-listen-workers ADDR [-min-workers N]]
 //	zen2ee gen-experiments [-scale S] [-seed N] [-parallel N]
 //
 // Scale 1 gives quick, statistically meaningful runs; the paper's full
@@ -26,6 +26,10 @@
 // content-addressed under DIR. Re-running any spec over a warm cache skips
 // execution at shard granularity with byte-identical output, and a killed
 // sweep resumes from its last completed shard on the next invocation.
+//
+// With -listen-workers ADDR the run's shards are leased to remote `zen2eed
+// -worker` processes; each worker long-polls for up to its slot count of
+// shards at once (capped at 16) and returns plain gob outputs.
 package main
 
 import (
@@ -112,9 +116,6 @@ flags (accepted before or after the positional argument):
                the fallback and results are byte-identical to a local run
   -min-workers N  wait until N workers have registered before starting
                (only with -listen-workers)
-  -lease-batch K  run/sweep only: let one worker long-poll return up to K
-               shard leases at once (only with -listen-workers; 0 uses
-               the coordinator default of 16)
   -shard-cache DIR  run/sweep only: memoize per-shard outputs content-
                addressed under DIR; shards whose key is already cached
                are served without executing, with byte-identical output.
@@ -157,10 +158,7 @@ type experimentFlags struct {
 	// store rooted at this directory; a warm cache skips execution at
 	// shard granularity with byte-identical output (-shard-cache).
 	shardCacheDir string
-	// leaseBatch caps how many shard leases one worker long-poll may
-	// return (-lease-batch; 0 means the coordinator default).
-	leaseBatch int
-	pos        []string
+	pos           []string
 }
 
 // parseExperimentArgs scans args in a single pass, accepting flags before
@@ -239,14 +237,6 @@ func parseExperimentArgs(args []string) (experimentFlags, error) {
 			f.listenWorkers, err = takeValue()
 		case "shard-cache":
 			f.shardCacheDir, err = takeValue()
-		case "lease-batch":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.leaseBatch, err = strconv.Atoi(v)
-				if err == nil && f.leaseBatch < 0 {
-					err = fmt.Errorf("must be >= 0 (0 means the default)")
-				}
-			}
 		case "min-workers":
 			var v string
 			if v, err = takeValue(); err == nil {
@@ -410,16 +400,13 @@ func (f experimentFlags) withCoordinator(runCfg *core.RunConfig, tr *obs.Trace) 
 		if f.minWorkers > 0 {
 			return nil, fmt.Errorf("-min-workers needs -listen-workers")
 		}
-		if f.leaseBatch > 0 {
-			return nil, fmt.Errorf("-lease-batch needs -listen-workers")
-		}
 		return func() {}, nil
 	}
 	ln, err := net.Listen("tcp", f.listenWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("-listen-workers: %w", err)
 	}
-	coord := dist.NewCoordinator(dist.Config{MaxLeaseBatch: f.leaseBatch})
+	coord := dist.NewCoordinator(dist.Config{})
 	srv := &http.Server{Handler: coord.Handler()}
 	go srv.Serve(ln)
 	addr := ln.Addr().String()
@@ -771,8 +758,8 @@ func genExperiments(args []string) error {
 	if f.listenWorkers != "" || f.minWorkers > 0 {
 		return fmt.Errorf("-listen-workers/-min-workers are run/sweep flags")
 	}
-	if f.shardCacheDir != "" || f.leaseBatch > 0 {
-		return fmt.Errorf("-shard-cache/-lease-batch are run/sweep flags")
+	if f.shardCacheDir != "" {
+		return fmt.Errorf("-shard-cache is a run/sweep flag")
 	}
 	if len(f.pos) != 0 {
 		return fmt.Errorf("gen-experiments takes no positional arguments")

@@ -85,6 +85,7 @@ func TestParseExperimentArgsErrors(t *testing.T) {
 		{"-seeds", "1..1000000"},              // range beyond the sanity bound
 		{"-seeds", "0..18446744073709551615"}, // full uint64 range must not overflow the guard
 		{"-seeds", "1..two"},                  // malformed range end
+		{"-listen-workers", "127.0.0.1:0", "-lease-batch", "4", "all"}, // the batch follows the worker's slots
 	} {
 		if _, err := parseExperimentArgs(args); err == nil {
 			t.Errorf("args %v accepted, want error", args)
@@ -100,6 +101,7 @@ func TestSweepCommandGuards(t *testing.T) {
 		"sweep -csv":             func() error { return sweep([]string{"-csv", "fig1"}) },
 		"run -scales":            func() error { return run([]string{"-scales", "1,2", "fig1"}) },
 		"run -o":                 func() error { return run([]string{"-o", "out.json", "fig1"}) },
+		"run -lease-batch":       func() error { return run([]string{"fig1", "-lease-batch", "4"}) },
 		"gen-experiments -seeds": func() error { return genExperiments([]string{"-seeds", "1..2"}) },
 		"gen-experiments -o":     func() error { return genExperiments([]string{"-o", "out.json"}) },
 		"gen-experiments -trace": func() error { return genExperiments([]string{"-trace", "t.json"}) },

@@ -7,7 +7,7 @@
 //
 // Usage: zen2eed [-addr :8080] [-executors N] [-queue N] [-cache N]
 // [-cache-bytes N] [-sse-keepalive D] [-log-format text|json] [-log-level L]
-// [-trace-bytes N] [-pprof] [-listen-workers] [-lease-ttl D] [-lease-batch K]
+// [-trace-bytes N] [-pprof] [-listen-workers] [-lease-ttl D]
 // [-tenant-config F] [-store-dir D] [-store-bytes N] [-shard-cache]
 //
 // With -tenant-config the daemon enforces multi-tenant governance: job
@@ -29,7 +29,9 @@
 // re-executes only its missing shards, and combined with -store-dir a
 // daemon killed mid-sweep resumes from its last completed shard — with
 // byte-identical results, since the cached gob payloads round-trip
-// float64 values exactly.
+// float64 values exactly. The serving daemon probes this cache before it
+// dispatches a shard, so a memoized shard never reaches a worker; -worker
+// mode keeps no shard cache and rejects the flag.
 //
 // With -listen-workers the daemon also acts as a distributed shard
 // coordinator: headless worker processes started with
@@ -37,12 +39,14 @@
 //	zen2eed -worker http://coordinator:8080 [-worker-name N] [-executors S]
 //
 // register over POST /dist/v1/*, lease (configuration, experiment, shard)
-// tasks, and execute them with the same per-shard RNG streams the local
-// scheduler derives — results are byte-identical however the shards are
-// placed. GET /v1/workers reports the pool. Workers that miss heartbeats
-// for -lease-ttl lose their leases, which re-queue on the survivors (or
-// run locally); a SIGTERM'd worker finishes its in-flight shards and
-// deregisters, relinquishing anything unfinished immediately.
+// tasks in FIFO order — up to -executors of them per long-poll, capped at
+// 16 — and execute them with the same per-shard RNG streams the local
+// scheduler derives, returning plain gob outputs; results are
+// byte-identical however the shards are placed. GET /v1/workers reports
+// the pool. Workers that miss heartbeats for -lease-ttl lose their leases,
+// which re-queue on the survivors (or run locally); a SIGTERM'd worker
+// finishes its in-flight shards and deregisters, relinquishing anything
+// unfinished immediately.
 //
 // The daemon logs structured events via log/slog: one access line per
 // request and job lifecycle events (queued/started/done/failed) carrying a
@@ -82,7 +86,6 @@ import (
 
 	"zen2ee/internal/dist"
 	"zen2ee/internal/service"
-	"zen2ee/internal/shardcache"
 	"zen2ee/internal/store"
 	"zen2ee/internal/tenant"
 )
@@ -103,14 +106,7 @@ type options struct {
 	tenantConfig string
 	storeDir     string
 	storeBytes   int64
-	// shardCache enables shard-output memoization: in daemon mode shard
-	// outputs land in the result store (disk-backed with -store-dir); in
-	// worker mode the worker keeps a bounded memory tier sized by
-	// -cache/-cache-bytes. leaseBatch tunes the dist protocol's batch
-	// size on whichever side this process runs.
-	shardCache bool
-	leaseBatch int
-	cfg        service.Config
+	cfg          service.Config
 }
 
 // buildLogger resolves the -log-format/-log-level pair into the daemon's
@@ -166,10 +162,8 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		"directory for the persistent result-store tier: computed results are written through to content-addressed files and survive daemon restarts (omitted = memory-only cache)")
 	fs.Int64Var(&o.storeBytes, "store-bytes", 0,
 		"persistent store tier byte bound, evicted LRU-first past it (0 = unbounded; needs -store-dir)")
-	fs.BoolVar(&o.shardCache, "shard-cache", false,
-		"memoize individual shard outputs by their deterministic address: warm shards skip execution, and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; in -worker mode the worker keeps a bounded in-memory shard cache consulted before executing")
-	fs.IntVar(&o.leaseBatch, "lease-batch", 0,
-		"shard tasks moved per dist lease round trip: with -listen-workers, the most one worker poll may be granted (0 = the 16 default); with -worker, the batch size requested per poll (0 = the slot count)")
+	fs.BoolVar(&o.cfg.ShardCache, "shard-cache", false,
+		"memoize individual shard outputs in the result store by their deterministic address: warm shards skip execution (and are never dispatched to workers), and with -store-dir an interrupted sweep resumes from its last completed shard after a restart (serving daemon only)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -206,17 +200,9 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if o.storeBytes > 0 && o.storeDir == "" {
 		return o, fmt.Errorf("-store-bytes only applies with -store-dir")
 	}
-	if o.worker != "" && (o.tenantConfig != "" || o.storeDir != "") {
-		return o, fmt.Errorf("-tenant-config and -store-dir only apply to the serving daemon, not -worker mode")
+	if o.worker != "" && (o.tenantConfig != "" || o.storeDir != "" || o.cfg.ShardCache) {
+		return o, fmt.Errorf("-tenant-config, -store-dir and -shard-cache only apply to the serving daemon, not -worker mode")
 	}
-	if o.leaseBatch < 0 {
-		return o, fmt.Errorf("-lease-batch must be >= 0 (0 means the default)")
-	}
-	if o.leaseBatch > 0 && o.worker == "" && !o.cfg.Dist {
-		return o, fmt.Errorf("-lease-batch only applies with -worker or -listen-workers")
-	}
-	o.cfg.ShardCache = o.shardCache
-	o.cfg.DistLeaseBatch = o.leaseBatch
 	return o, nil
 }
 
@@ -235,17 +221,10 @@ func runWorker(o options, logger *slog.Logger) error {
 			name = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 	}
-	cfg := dist.WorkerConfig{
+	w, err := dist.NewWorker(dist.WorkerConfig{
 		Coordinator: o.worker, Name: name, Host: host, PID: os.Getpid(),
-		Slots: o.cfg.Executors, LeaseBatch: o.leaseBatch, Logger: logger,
-	}
-	if o.shardCache {
-		// Worker-side memoization is memory-only (workers are disposable);
-		// the -cache/-cache-bytes bounds, unused in worker mode otherwise,
-		// size it.
-		cfg.Cache = shardcache.New(store.NewMemory(o.cfg.CacheEntries, o.cfg.CacheBytes), "")
-	}
-	w, err := dist.NewWorker(cfg)
+		Slots: o.cfg.Executors, Logger: logger,
+	})
 	if err != nil {
 		return err
 	}
@@ -345,7 +324,7 @@ func main() {
 	if o.storeDir != "" {
 		fmt.Fprintf(os.Stderr, "zen2eed: persistent result store at %s\n", o.storeDir)
 	}
-	if o.shardCache {
+	if o.cfg.ShardCache {
 		fmt.Fprintln(os.Stderr, "zen2eed: shard-output memoization enabled")
 	}
 	if err := httpServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

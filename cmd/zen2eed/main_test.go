@@ -98,6 +98,10 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-sse-keepalive", "50ms"},
 		{"-log-format", "xml"},
 		{"-log-level", "loud"},
+		{"-worker", "http://127.0.0.1:1", "-shard-cache"}, // no worker-side shard cache
+		{"-lease-batch", "4"},                             // unknown: the batch follows the slot count
+		{"-worker", "http://127.0.0.1:1", "-lease-batch", "4"},
+		{"-listen-workers", "-lease-batch", "4"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted, want error", args)

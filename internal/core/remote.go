@@ -45,8 +45,7 @@ func (r ShardRef) String() string {
 type ShardTask struct {
 	// Ref is the shard's process-independent address.
 	Ref ShardRef
-	// ConfigIndex is the configuration's position in the scheduled sweep
-	// (what locality-aware placement clusters on).
+	// ConfigIndex is the configuration's position in the scheduled sweep.
 	ConfigIndex int
 	// Shards is the experiment's plan size under this configuration.
 	Shards int

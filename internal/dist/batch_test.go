@@ -1,20 +1,17 @@
-// Batched leases and the compressed completion path: one long-poll may
-// grant up to Max tasks (capped by the coordinator's MaxLeaseBatch), flate
-// compression is negotiated at register and bounded at decode, and the
-// worker pipeline drains a batch across its slots.
+// Batched leases and plain completions: one long-poll may grant up to Max
+// tasks (capped at maxLeaseBatch), completions carry plain gob whatever a
+// worker offers at register, and the worker pipeline drains a batch across
+// its slots.
 
 package dist
 
 import (
-	"bytes"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"zen2ee/internal/shardcache"
-	"zen2ee/internal/store"
 )
 
 // leaseBatch polls once asking for up to max tasks.
@@ -53,24 +50,25 @@ func TestBatchedLeaseGrantsMultipleTasks(t *testing.T) {
 }
 
 func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
-	env := newTestEnv(t, Config{MaxLeaseBatch: 2})
-	w := env.register(t, "clamped", 8)
+	env := newTestEnv(t, Config{})
+	w := env.register(t, "clamped", 64)
 
 	h := env.c.StartRun(nil)
 	defer h.Finish()
+	const queued = maxLeaseBatch + 4
 	var chans []<-chan shardOutcome
-	for shard := 0; shard < 4; shard++ {
+	for shard := 0; shard < queued; shard++ {
 		chans = append(chans, runShardAsync(h, shardTask(0, shard, nil)))
 	}
-	waitFor(t, "all 4 tasks queued", func() bool { return env.c.PendingTasks() == 4 })
+	waitFor(t, "all tasks queued", func() bool { return env.c.PendingTasks() == queued })
 
 	first := w.leaseBatch(100, 100)
-	if len(first) != 2 {
-		t.Fatalf("lease with max=100 granted %d tasks, want the MaxLeaseBatch cap of 2", len(first))
+	if len(first) != 16 {
+		t.Fatalf("lease with max=100 granted %d tasks, want the cap of 16", len(first))
 	}
 	second := w.leaseBatch(100, 100)
-	if len(second) != 2 {
-		t.Fatalf("second batch granted %d tasks, want the remaining 2", len(second))
+	if len(second) != queued-16 {
+		t.Fatalf("second batch granted %d tasks, want the remaining %d", len(second), queued-16)
 	}
 	for _, specs := range [][]TaskSpec{first, second} {
 		for i := range specs {
@@ -84,68 +82,41 @@ func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
 	}
 }
 
+// TestRegisterNegotiatesCompression pins wire compatibility with workers
+// that still offer flate at register: the coordinator declines by echoing
+// no compression, so such a worker sends plain gob, and that completion
+// lands.
 func TestRegisterNegotiatesCompression(t *testing.T) {
 	env := newTestEnv(t, Config{})
+	body := strings.NewReader(`{"name":"zip","slots":1,"compression":"flate"}`)
+	hres, err := http.Post(env.ts.URL+"/dist/v1/register", "application/json", body)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	defer hres.Body.Close()
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(hres.Body).Decode(&raw); err != nil || hres.StatusCode != http.StatusOK {
+		t.Fatalf("register: status %d, decode err %v", hres.StatusCode, err)
+	}
+	if c, ok := raw["compression"]; ok {
+		t.Fatalf("register offering flate got compression %s, want no compression key", c)
+	}
 	w := &rawWorker{t: t, base: env.ts.URL}
-
-	var with registerResponse
-	w.post("/dist/v1/register", registerRequest{Name: "zip", Slots: 1, Compression: compressionFlate}, &with, http.StatusOK)
-	if with.Compression != compressionFlate {
-		t.Fatalf("register offering flate got compression %q, want %q", with.Compression, compressionFlate)
+	if err := json.Unmarshal(raw["worker_id"], &w.id); err != nil || w.id == "" {
+		t.Fatalf("register returned worker_id %s", raw["worker_id"])
 	}
-	var without registerResponse
-	w.post("/dist/v1/register", registerRequest{Name: "plain", Slots: 1}, &without, http.StatusOK)
-	if without.Compression != "" {
-		t.Fatalf("register offering nothing got compression %q, want none", without.Compression)
-	}
-}
-
-func TestCompressedCompletionRoundTrip(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	w := env.register(t, "zipper", 1)
 
 	h := env.c.StartRun(nil)
 	defer h.Finish()
 	ch := runShardAsync(h, shardTask(0, 0, nil))
 	spec := w.leaseUntil(5 * time.Second)
-
-	// A payload comfortably past compressMinBytes, compressible enough
-	// that the wire bytes shrink.
-	big := make([]float64, 4096)
-	for i := range big {
-		big[i] = float64(i % 7)
-	}
-	enc, err := encodeOutput(big)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	cb, err := compressOutput(enc)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	if len(cb) >= len(enc) {
-		t.Fatalf("compressed %d bytes to %d — payload did not shrink", len(enc), len(cb))
-	}
-	w.post("/dist/v1/complete", completeRequest{
-		WorkerID: w.id, TaskID: spec.ID, Output: cb, Compressed: true, DurNS: 1000,
-	}, nil, http.StatusOK)
-
-	o := waitOutcome(t, ch)
-	if o.err != nil || o.origin != "zipper" {
-		t.Fatalf("outcome = %+v", o)
-	}
-	got, ok := o.out.([]float64)
-	if !ok || len(got) != len(big) {
-		t.Fatalf("decoded %T (len %d), want []float64 len %d", o.out, len(got), len(big))
-	}
-	for i := range big {
-		if got[i] != big[i] {
-			t.Fatalf("element %d: %v != %v", i, got[i], big[i])
-		}
+	w.complete(spec, 7.5)
+	if o := waitOutcome(t, ch); o.err != nil || o.out != 7.5 || o.origin != "zip" {
+		t.Fatalf("outcome = %+v, want 7.5 from zip", o)
 	}
 }
 
-func TestCorruptCompressedCompletionFailsShardLoudly(t *testing.T) {
+func TestCorruptCompletionFailsShardLoudly(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	w := env.register(t, "mangler", 1)
 
@@ -155,37 +126,12 @@ func TestCorruptCompressedCompletionFailsShardLoudly(t *testing.T) {
 	spec := w.leaseUntil(5 * time.Second)
 
 	w.post("/dist/v1/complete", completeRequest{
-		WorkerID: w.id, TaskID: spec.ID, Output: []byte("not a flate stream"), Compressed: true,
+		WorkerID: w.id, TaskID: spec.ID, Output: []byte("not a gob stream"),
 	}, nil, http.StatusOK)
 
 	o := waitOutcome(t, ch)
 	if o.err == nil || !strings.Contains(o.err.Error(), "decoding output") {
-		t.Fatalf("corrupt compressed completion outcome = %+v, want a loud decode failure", o)
-	}
-}
-
-func TestDecompressOutputBoundedByBodyLimit(t *testing.T) {
-	small := []byte(strings.Repeat("abcdef", 200))
-	cb, err := compressOutput(small)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	back, err := decompressOutput(cb)
-	if err != nil {
-		t.Fatalf("decompress: %v", err)
-	}
-	if !bytes.Equal(back, small) {
-		t.Fatalf("round trip mangled the payload (%d vs %d bytes)", len(back), len(small))
-	}
-
-	// A zip bomb — tiny on the wire, past the body cap inflated — must be
-	// rejected at decode, not buffered without bound.
-	bomb, err := compressOutput(make([]byte, maxBodyBytes+2))
-	if err != nil {
-		t.Fatalf("compress bomb: %v", err)
-	}
-	if _, err := decompressOutput(bomb); err == nil {
-		t.Fatalf("decompressOutput accepted a payload inflating past maxBodyBytes")
+		t.Fatalf("corrupt completion outcome = %+v, want a loud decode failure", o)
 	}
 }
 
@@ -193,7 +139,7 @@ func TestWorkerBatchPipelineExecutesAll(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	var execs atomic.Int64
 	startWorker(t, env, WorkerConfig{
-		Name: "pipeline", Slots: 2, LeaseBatch: 4,
+		Name: "pipeline", Slots: 2,
 		Execute: func(ts TaskSpec) (any, error) {
 			execs.Add(1)
 			return float64(ts.Ref.Shard) * 3, nil
@@ -215,37 +161,5 @@ func TestWorkerBatchPipelineExecutesAll(t *testing.T) {
 	}
 	if execs.Load() != 8 {
 		t.Fatalf("worker executed %d shards, want 8", execs.Load())
-	}
-}
-
-func TestWorkerShardCacheSkipsRepeatExecution(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	cache := shardcache.New(store.NewMemory(16, 1<<20), "test-salt")
-	var execs atomic.Int64
-	startWorker(t, env, WorkerConfig{
-		Name: "cached", Slots: 1, Cache: cache,
-		Execute: func(ts TaskSpec) (any, error) {
-			execs.Add(1)
-			return 42.0, nil
-		},
-	})
-	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
-
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	// The same shard ref dispatched twice — a re-run sweep from the
-	// worker's point of view. The second lease must be served from the
-	// worker's cache without executing.
-	for round := 0; round < 2; round++ {
-		o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, nil)))
-		if o.err != nil || o.out != 42.0 || o.origin != "cached" {
-			t.Fatalf("round %d outcome = %+v", round, o)
-		}
-	}
-	if execs.Load() != 1 {
-		t.Fatalf("worker executed %d times for the same ref, want 1 (second served from cache)", execs.Load())
-	}
-	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want exactly 1 hit and 1 miss", s)
 	}
 }

@@ -437,37 +437,39 @@ func TestExhaustedRetriesPinLocal(t *testing.T) {
 	}
 }
 
-func TestLocalityPrefersSiblingConfig(t *testing.T) {
+// TestLeaseGrantsFIFO pins the grant order: a worker that just executed a
+// shard of configuration 1 still leases the oldest eligible task next, not
+// a sibling of the configuration it served.
+func TestLeaseGrantsFIFO(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	w := env.register(t, "warm", 1)
 	h := env.c.StartRun(nil)
 	defer h.Finish()
 
-	// Seed affinity: the worker executes a shard of configuration 1.
+	// The worker executes a shard of configuration 1 first.
 	ch0 := runShardAsync(h, shardTask(1, 0, nil))
 	spec := w.leaseUntil(5 * time.Second)
 	if spec.Ref.Shard != 0 {
-		t.Fatalf("seed lease got shard %d, want 0", spec.Ref.Shard)
+		t.Fatalf("first lease got shard %d, want 0", spec.Ref.Shard)
 	}
 	w.complete(spec, 1.0)
 	waitOutcome(t, ch0)
 
 	// Queue a configuration-0 shard first, then a configuration-1 shard.
-	// FIFO would grant config 0; locality must grant config 1.
+	// FIFO grants configuration 0's shard 1.
 	chA := runShardAsync(h, shardTask(0, 1, nil))
 	waitFor(t, "first task queued", func() bool { return env.c.PendingTasks() == 1 })
 	chB := runShardAsync(h, shardTask(1, 2, nil))
 	waitFor(t, "second task queued", func() bool { return env.c.PendingTasks() == 2 })
 
 	spec = w.leaseUntil(5 * time.Second)
-	if spec.Ref.Shard != 2 {
-		t.Fatalf("affinity lease got shard %d (config %d), want shard 2 of sibling config 1",
-			spec.Ref.Shard, spec.Ref.Shard)
+	if spec.Ref.Shard != 1 {
+		t.Fatalf("lease got shard %d, want shard 1 (queued first)", spec.Ref.Shard)
 	}
 	w.complete(spec, 2.0)
 	spec = w.leaseUntil(5 * time.Second)
-	if spec.Ref.Shard != 1 {
-		t.Fatalf("followup lease got shard %d, want 1", spec.Ref.Shard)
+	if spec.Ref.Shard != 2 {
+		t.Fatalf("followup lease got shard %d, want 2", spec.Ref.Shard)
 	}
 	w.complete(spec, 3.0)
 	waitOutcome(t, chA)

@@ -2,9 +2,9 @@
 // tasks across processes and hosts. It is a coordinator/worker pool over
 // plain HTTP/JSON: workers register, lease shard tasks with long polls,
 // heartbeat while executing, and return outputs plus execution timing; the
-// coordinator owns the queue, lease liveness, bounded retry with backoff on
-// worker loss, locality-aware placement, and a local-execution fallback, and
-// plugs into the scheduler purely through the core.RunConfig.RunShard hook —
+// coordinator owns the FIFO queue, lease liveness, bounded retry with
+// backoff on worker loss, and a local-execution fallback, and plugs into
+// the scheduler purely through the core.RunConfig.RunShard hook —
 // planning, fixed-order FP reduction, and streaming delivery never leave the
 // coordinating process, so a sweep split across 1, 2, or N workers (workers
 // dying mid-sweep included) produces byte-identical sweep documents.
@@ -13,23 +13,19 @@
 // index. Both sides run the same binary against the same registry, so the
 // reference — not the closure — crosses the wire, and the worker re-derives
 // the identical plan and per-shard RNG stream via core.ExecuteShardRef.
-// Outputs return as gob payloads (the internal/shardcache codec, which
-// round-trips float64 values bit-exactly), optionally flate-compressed when
-// negotiated at register; worker-measured execution windows merge into the
-// coordinator's obs.Trace as CatRemote spans with worker attribution, so a
-// distributed run still renders one coherent Chrome-trace timeline.
+// Outputs return as plain gob payloads (the internal/shardcache codec,
+// which round-trips float64 values bit-exactly); worker-measured execution
+// windows merge into the coordinator's obs.Trace as CatRemote spans with
+// worker attribution, so a distributed run still renders one coherent
+// Chrome-trace timeline.
 //
-// One lease long-poll may grant a batch of tasks (leaseRequest.Max), so a
-// worker with many slots amortizes the dispatch round trip instead of
-// paying one per shard; completions pipeline independently of execution.
+// One lease long-poll may grant a batch of tasks (leaseRequest.Max, capped
+// at maxLeaseBatch), so a worker with many slots amortizes the dispatch
+// round trip instead of paying one per shard; completions pipeline
+// independently of execution.
 package dist
 
 import (
-	"bytes"
-	"compress/flate"
-	"fmt"
-	"io"
-
 	"zen2ee/internal/core"
 	"zen2ee/internal/shardcache"
 )
@@ -44,11 +40,6 @@ type TaskSpec struct {
 	Label string `json:"label,omitempty"`
 }
 
-// compressionFlate is the one compression scheme the protocol knows; it is
-// offered by the worker at register and echoed by the coordinator when
-// accepted.
-const compressionFlate = "flate"
-
 // Wire bodies of the worker protocol under POST /dist/v1/. All requests
 // and responses are JSON; outputs travel as gob inside the JSON (base64 by
 // encoding/json's []byte rule).
@@ -57,25 +48,19 @@ type registerRequest struct {
 	Host  string `json:"host,omitempty"`
 	PID   int    `json:"pid,omitempty"`
 	Slots int    `json:"slots"`
-	// Compression offers a payload compression scheme ("flate"); the
-	// coordinator echoes it back when accepted. Empty means uncompressed.
-	Compression string `json:"compression,omitempty"`
 }
 
 type registerResponse struct {
 	WorkerID        string `json:"worker_id"`
 	HeartbeatMillis int64  `json:"heartbeat_ms"`
 	LeaseTTLMillis  int64  `json:"lease_ttl_ms"`
-	// Compression confirms the scheme the worker may apply to completion
-	// outputs; empty rejects the offer.
-	Compression string `json:"compression,omitempty"`
 }
 
 type leaseRequest struct {
 	WorkerID   string `json:"worker_id"`
 	WaitMillis int64  `json:"wait_ms,omitempty"`
 	// Max is the largest task batch this poll accepts (0 and 1 both mean
-	// one task); the coordinator caps it at its MaxLeaseBatch.
+	// one task); the coordinator caps it at maxLeaseBatch.
 	Max int `json:"max,omitempty"`
 }
 
@@ -90,11 +75,8 @@ type completeRequest struct {
 	WorkerID string `json:"worker_id"`
 	TaskID   string `json:"task_id"`
 	// Output is the gob-encoded shard output (empty for a nil output or a
-	// failed shard), flate-compressed when Compressed is set.
+	// failed shard).
 	Output []byte `json:"output,omitempty"`
-	// Compressed marks Output as flate-compressed; only workers whose
-	// register negotiated compression set it.
-	Compressed bool `json:"compressed,omitempty"`
 	// Error is the shard's failure message; empty means success.
 	Error string `json:"error,omitempty"`
 	// StartDeltaNS is lease receipt → execution start on the worker's
@@ -150,40 +132,3 @@ func decodeOutput(b []byte) (any, error) { return shardcache.DecodeOutput(b) }
 // an experiment introducing a new output type calls this from an init so
 // its shards can cross the wire.
 func RegisterOutputType(v any) { shardcache.RegisterOutputType(v) }
-
-// compressMinBytes is the payload size below which compression is skipped:
-// tiny gob outputs (a scalar, a short series) cost more in flate framing
-// than they save.
-const compressMinBytes = 512
-
-// compressOutput flate-compresses an encoded output.
-func compressOutput(b []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decompressOutput inverts compressOutput, bounding the inflated size by
-// the same limit the HTTP layer puts on request bodies — a compressed
-// payload must not expand past what an uncompressed one could carry.
-func decompressOutput(b []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(b))
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > maxBodyBytes {
-		return nil, fmt.Errorf("dist: decompressed output exceeds the %d-byte limit", maxBodyBytes)
-	}
-	return out, nil
-}

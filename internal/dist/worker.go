@@ -1,6 +1,6 @@
 // The worker client: what `zen2eed -worker http://coordinator:port` runs.
 // A worker registers, then drives a pipeline against the coordinator: one
-// fetcher long-polls for task batches (up to LeaseBatch per round trip),
+// fetcher long-polls for task batches (up to Slots per round trip),
 // N slot goroutines execute them concurrently, and completion posters
 // report results independently of execution — so neither the lease round
 // trip nor the completion round trip is paid once per shard per slot. A
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"zen2ee/internal/core"
-	"zen2ee/internal/shardcache"
 )
 
 // WorkerConfig configures a Worker.
@@ -44,22 +43,14 @@ type WorkerConfig struct {
 	Host string
 	// PID is reported for operator listings.
 	PID int
-	// Slots is the number of shards executed concurrently (default 1).
+	// Slots is the number of shards executed concurrently (default 1). It
+	// also sizes the lease buffer: one poll asks for at most the buffer
+	// space free, so a worker never hoards leases it cannot start, and the
+	// coordinator caps each grant at maxLeaseBatch.
 	Slots int
-	// LeaseBatch is the largest task batch one lease poll requests
-	// (default: Slots). The fetcher asks for at most the buffer space it
-	// can hold, so a worker never hoards leases it cannot start; the
-	// coordinator additionally caps grants at its MaxLeaseBatch.
-	LeaseBatch int
 	// Execute runs one leased task. Default: core.ExecuteShardRef on the
 	// task's shard reference — the production path. Tests inject stubs.
 	Execute func(TaskSpec) (any, error)
-	// Cache, when non-nil, memoizes shard outputs by their ShardRef: the
-	// worker consults it before Execute and backfills it after, so a fleet
-	// re-running a sweep (a crashed coordinator, a repeated sweep) skips
-	// shards it already computed. zen2eed -worker -shard-cache wires a
-	// bounded memory tier here.
-	Cache *shardcache.Cache
 	// DrainTimeout bounds how long shutdown waits for in-flight shards to
 	// finish before relinquishing them via deregister (default 30s).
 	DrainTimeout time.Duration
@@ -90,7 +81,6 @@ type Worker struct {
 	id        string
 	gen       uint64 // bumped by every successful (re-)registration
 	heartbeat time.Duration
-	compress  bool // coordinator accepted flate at register
 }
 
 // NewWorker validates the configuration and builds a worker.
@@ -101,9 +91,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
-	}
-	if cfg.LeaseBatch < 1 {
-		cfg.LeaseBatch = cfg.Slots
 	}
 	if cfg.Execute == nil {
 		cfg.Execute = func(t TaskSpec) (any, error) { return core.ExecuteShardRef(t.Ref) }
@@ -186,10 +173,7 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 // register (re-)registers the worker, retrying transport failures with
 // backoff until the context is cancelled.
 func (w *Worker) register(ctx context.Context) error {
-	req := registerRequest{
-		Name: w.cfg.Name, Host: w.cfg.Host, PID: w.cfg.PID, Slots: w.cfg.Slots,
-		Compression: compressionFlate,
-	}
+	req := registerRequest{Name: w.cfg.Name, Host: w.cfg.Host, PID: w.cfg.PID, Slots: w.cfg.Slots}
 	backoff := 200 * time.Millisecond
 	for {
 		var resp registerResponse
@@ -202,11 +186,9 @@ func (w *Worker) register(ctx context.Context) error {
 			if w.heartbeat <= 0 {
 				w.heartbeat = time.Second
 			}
-			w.compress = resp.Compression == compressionFlate
 			w.mu.Unlock()
 			w.log.Info("dist: registered with coordinator", "coordinator", w.base,
-				"worker_id", resp.WorkerID, "heartbeat", w.heartbeat,
-				"compression", resp.Compression)
+				"worker_id", resp.WorkerID, "heartbeat", w.heartbeat)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -236,12 +218,6 @@ func (w *Worker) identity() (string, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.id, w.gen
-}
-
-func (w *Worker) compressionNegotiated() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.compress
 }
 
 // reregister rejoins the pool after the coordinator rejected the given
@@ -298,12 +274,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	}()
 
 	// The pipeline: fetcher → tasks → slot executors → completions →
-	// posters. Both channels are buffered to the batch size so a full
-	// lease grant is absorbed without blocking the fetcher, and a slot
-	// never waits on a completion round trip before starting its next
-	// task.
-	tasks := make(chan TaskSpec, w.cfg.LeaseBatch)
-	completions := make(chan completion, w.cfg.LeaseBatch+w.cfg.Slots)
+	// posters. tasks holds one full lease grant (Slots) so it is absorbed
+	// without blocking the fetcher; completions holds that grant plus one
+	// result per executing slot, so a slot never waits on a completion
+	// round trip before starting its next task.
+	tasks := make(chan TaskSpec, w.cfg.Slots)
+	completions := make(chan completion, 2*w.cfg.Slots)
 
 	go w.fetchLoop(ctx, tasks)
 
@@ -384,7 +360,7 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
 
 // fetchLoop is the single lease poller: it requests up to the buffer's
 // free capacity per round trip (never less than one, never more than
-// LeaseBatch) and feeds the grants to the slot executors. New leases stop
+// Slots) and feeds the grants to the slot executors. New leases stop
 // the moment ctx is cancelled (the long-poll aborts); grants the buffer
 // still holds then are relinquished by the final deregister.
 func (w *Worker) fetchLoop(ctx context.Context, tasks chan<- TaskSpec) {
@@ -460,24 +436,14 @@ func (w *Worker) slotLoop(ctx context.Context, slot int, tasks <-chan TaskSpec, 
 }
 
 // execute runs one task, panic-guarded: a broken shard fails its lease,
-// never the worker. The shard cache, when configured, is consulted first
-// and backfilled on success.
+// never the worker.
 func (w *Worker) execute(t TaskSpec) (out any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	if w.cfg.Cache != nil {
-		if out, ok := w.cfg.Cache.Lookup(t.Ref); ok {
-			return out, nil
-		}
-	}
-	out, err = w.cfg.Execute(t)
-	if err == nil && w.cfg.Cache != nil {
-		w.cfg.Cache.Store(t.Ref, out)
-	}
-	return out, err
+	return w.cfg.Execute(t)
 }
 
 // complete reports a finished task, retrying transport failures a few
@@ -500,11 +466,6 @@ func (w *Worker) complete(t TaskSpec, out any, execErr error, startDelta, dur ti
 			req.Error = fmt.Sprintf("dist: encoding shard output (%T): %v — register the type with dist.RegisterOutputType", out, err)
 		} else {
 			req.Output = enc
-			if w.compressionNegotiated() && len(enc) >= compressMinBytes {
-				if cb, cerr := compressOutput(enc); cerr == nil && len(cb) < len(enc) {
-					req.Output, req.Compressed = cb, true
-				}
-			}
 		}
 	}
 	for attempt := 0; attempt < 3; attempt++ {

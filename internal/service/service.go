@@ -115,9 +115,6 @@ type Config struct {
 	// 3). Both only matter when Dist is set.
 	DistLeaseTTL   time.Duration
 	DistMaxRetries int
-	// DistLeaseBatch caps how many shard tasks one worker lease poll may
-	// grant (default 16). Only matters when Dist is set.
-	DistLeaseBatch int
 	// ShardCache memoizes individual shard outputs in the result store,
 	// keyed by their deterministic core.ShardRef address: partially warm
 	// sweeps skip execution at shard granularity, and with a persistent
@@ -252,8 +249,7 @@ func New(cfg Config) *Server {
 	if cfg.Dist {
 		s.coord = dist.NewCoordinator(dist.Config{
 			LeaseTTL: cfg.DistLeaseTTL, MaxRetries: cfg.DistMaxRetries,
-			MaxLeaseBatch: cfg.DistLeaseBatch,
-			Logger:        cfg.Logger,
+			Logger: cfg.Logger,
 			// Local fallback borrows an executor slot like any other shard,
 			// so shards reclaimed from lost workers cannot oversubscribe the
 			// daemon's own simulation budget.
@@ -328,7 +324,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	s.admit(w, func() *job { return newJob(spec) }, spec.key(), tn, tn.ClassFor(false))
+	s.admit(w, func() *job { return newJob(spec) }, spec.key(), tn, false)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -346,7 +342,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid sweep spec: %v", err)
 		return
 	}
-	s.admit(w, func() *job { return newSweepJob(spec) }, spec.key(), tn, tn.ClassFor(true))
+	s.admit(w, func() *job { return newSweepJob(spec) }, spec.key(), tn, true)
 }
 
 // maxSpecBytes bounds submission request bodies; a spec larger than this
@@ -376,13 +372,16 @@ func decodeSpec(w http.ResponseWriter, r *http.Request, into any, label string, 
 
 // admit is the shared admission path for run and sweep submissions:
 // singleflight onto an identical live or finished job, materialization
-// from the content-addressed store, tenant admission (rate, quota,
-// breaker), then the bounded queue. build constructs the job only when
+// from the content-addressed store (run jobs only: a sweep's document is
+// assembled from per-configuration sections, so nothing is ever stored
+// under its own key), tenant admission (rate, quota, breaker), then the
+// bounded queue. build constructs the job only when
 // one is actually needed. Tenant checks run after the dedup and cache
 // probes deliberately — a request another tenant's identical job already
 // answers adds no load, so rejecting it would only punish cache locality;
 // what quotas and rates govern is admission to the run queue.
-func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn *tenant.Tenant, class tenant.Class) {
+func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn *tenant.Tenant, sweep bool) {
+	class := tn.ClassFor(sweep)
 	s.mu.Lock()
 	if j, ok := s.jobs[key]; ok && j.currentState() != StateFailed && !s.sweepEvicted(j) {
 		// Singleflight: an identical job already exists. A finished job is
@@ -396,17 +395,20 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 		writeJSON(w, http.StatusOK, s.statusOf(j, true))
 		return
 	}
-	if payload, ok := s.cache.Get(key); ok {
-		// The job record was evicted but the payload survived: materialize
-		// a completed job from the store without running anything.
-		j := build()
-		j.owner, j.class = tn, class
-		j.completeFromCache(payload)
-		s.insertLocked(j)
-		s.metrics.add(&s.metrics.cacheHits, 1)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, s.statusOf(j, true))
-		return
+	if !sweep {
+		if payload, ok := s.cache.Get(key); ok {
+			// The job record was evicted but the payload survived:
+			// materialize a completed job from the store without running
+			// anything.
+			j := build()
+			j.owner, j.class = tn, class
+			j.completeFromCache(payload)
+			s.insertLocked(j)
+			s.metrics.add(&s.metrics.cacheHits, 1)
+			s.mu.Unlock()
+			writeJSON(w, http.StatusOK, s.statusOf(j, true))
+			return
+		}
 	}
 	if rej := tn.Admit(); rej != nil {
 		s.mu.Unlock()

@@ -15,6 +15,7 @@ import (
 
 	"zen2ee/internal/core"
 	"zen2ee/internal/report"
+	"zen2ee/internal/store"
 )
 
 func postSweep(t *testing.T, ts *httptest.Server, body string) (Status, int) {
@@ -747,5 +748,68 @@ func TestSSEKeepalive(t *testing.T) {
 	events := readSSE(t, resp.Body)
 	if len(events) == 0 || events[len(events)-1].name != "done" {
 		t.Fatalf("stream after keepalives did not finish with done: %v", events)
+	}
+}
+
+// countingStore wraps a result store and counts the Get probes per key.
+type countingStore struct {
+	store.ResultStore
+	mu   sync.Mutex
+	gets map[string]int
+}
+
+func (c *countingStore) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.ResultStore.Get(key)
+}
+
+func (c *countingStore) getsOf(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gets[key]
+}
+
+// TestSweepAdmissionNeverProbesSweepKey: nothing is ever stored under a
+// sweep's own content address (its document is assembled from the
+// per-configuration sections), so admission must not probe the store for
+// it — on a -store-dir daemon that probe is a file read under the server
+// lock. A sweep resubmitted after its job record left the table still
+// completes without simulating, from config-cached sections.
+func TestSweepAdmissionNeverProbesSweepKey(t *testing.T) {
+	st := &countingStore{ResultStore: store.NewMemory(64, 0), gets: map[string]int{}}
+	counter := &countingSweepRunner{}
+	_, ts := newTestServer(t, Config{JobHistory: 1, Store: st, SweepRunner: counter.run})
+
+	const body = `{"ids":["fig1"],"scales":[0.2],"seeds":[3,4]}`
+	first, code := postSweep(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps returned %d", code)
+	}
+	if final := waitState(t, ts, first.ID); final.State != StateDone {
+		t.Fatalf("sweep finished as %+v", final)
+	}
+	// A second job pushes the finished sweep out of the one-entry table.
+	other, _ := postJob(t, ts, `{"ids":["fig1"],"scale":0.2,"seed":9}`)
+	waitState(t, ts, other.ID)
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+first.ID); code != http.StatusNotFound {
+		t.Fatalf("evicted sweep record still served: %d", code)
+	}
+	ran := len(counter.ranConfigs())
+
+	again, code := postSweep(t, ts, body)
+	if code != http.StatusAccepted || again.ID != first.ID {
+		t.Fatalf("resubmit after record eviction: code %d id %s, want 202 with id %s", code, again.ID, first.ID)
+	}
+	final := waitState(t, ts, again.ID)
+	if final.State != StateDone || len(final.CachedConfigs) != 2 || !final.CachedConfigs[0] || !final.CachedConfigs[1] {
+		t.Fatalf("resubmitted sweep = %+v, want done with both configurations config-cached", final)
+	}
+	if n := len(counter.ranConfigs()); n != ran {
+		t.Fatalf("resubmitted sweep simulated %d configs, want 0", n-ran)
+	}
+	if n := st.getsOf(first.ID); n != 0 {
+		t.Fatalf("store probed the sweep key %d times, want 0", n)
 	}
 }
