@@ -500,6 +500,15 @@ func run(args []string) error {
 }
 
 func runExperiments(f experimentFlags) error {
+	var ids []string
+	if f.pos[0] != "all" {
+		ids = f.pos[:1]
+	}
+	// Resolve the IDs before -listen-workers opens, so a bad ID fails at
+	// once instead of after -min-workers workers have joined.
+	if _, err := core.CanonicalIDs(ids); err != nil {
+		return err
+	}
 	tr := f.newTrace()
 	runCfg := core.RunConfig{Workers: f.parallel, Trace: tr}
 	finish, err := f.withCoordinator(&runCfg, tr)
@@ -512,10 +521,6 @@ func runExperiments(f experimentFlags) error {
 		return err
 	}
 	defer cacheDone()
-	var ids []string
-	if f.pos[0] != "all" {
-		ids = f.pos[:1]
-	}
 	results, err := runOneConfig(ids, f, runCfg)
 	if err != nil {
 		if ids != nil {
@@ -599,6 +604,10 @@ func sweep(args []string) error {
 	ids := f.pos
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = nil
+	}
+	// As in run: bad IDs fail before -listen-workers opens.
+	if _, err := core.CanonicalIDs(ids); err != nil {
+		return err
 	}
 	return f.withProfiles(func() error {
 		sw := core.Sweep{IDs: ids, Configs: core.Grid(f.scales, f.seeds)}

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"zen2ee/internal/core"
 	"zen2ee/internal/obs"
@@ -109,6 +111,26 @@ func TestSweepCommandGuards(t *testing.T) {
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted, want error", name)
+		}
+	}
+}
+
+// TestUnknownIDFailsBeforeWaitingForWorkers: with -listen-workers and
+// -min-workers, an unknown experiment ID fails at once instead of after a
+// worker registers (with none, the command used to wait forever).
+func TestUnknownIDFailsBeforeWaitingForWorkers(t *testing.T) {
+	for name, call := range map[string]func([]string) error{"run": run, "sweep": sweep} {
+		done := make(chan error, 1)
+		go func() {
+			done <- call([]string{"bogus", "-listen-workers", "127.0.0.1:0", "-min-workers", "1"})
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), `unknown experiment "bogus"`) {
+				t.Errorf("%s: err = %v, want unknown experiment \"bogus\"", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still waiting for workers after 10 s", name)
 		}
 	}
 }

@@ -72,14 +72,10 @@ func raplSumCoresWatts(m *machine.Machine, d sim.Duration) float64 {
 	return (e1 - e0) / m.Eng.Now().Sub(t0).Seconds()
 }
 
-// startOn starts a kernel on a set of threads, failing loudly on error.
+// startOn starts a kernel on a set of threads with one machine refresh,
+// failing loudly on error ("start <kernel> on thread <n>: ...").
 func startOn(m *machine.Machine, k workload.Kernel, weight float64, threads ...soc.ThreadID) error {
-	for _, t := range threads {
-		if _, err := m.StartKernel(t, k, weight); err != nil {
-			return fmt.Errorf("start %s on thread %d: %w", k.Name, t, err)
-		}
-	}
-	return nil
+	return m.StartKernels(threads, k, weight)
 }
 
 // allThreads lists every hardware thread.

@@ -108,6 +108,9 @@ type Machine struct {
 
 	trafficGBs float64
 	inRefresh  bool
+	// batching defers every refresh while StartKernels starts a batch of
+	// threads at one simulated instant; the batch ends in one refresh.
+	batching bool
 
 	// Incremental-refresh state. Per-core derived values (power-model
 	// inputs, effective frequencies, RAPL estimates) and per-thread counter
@@ -123,6 +126,7 @@ type Machine struct {
 	effMHzBuf  []float64
 	raplWBuf   []float64
 	pkgWBuf    []float64
+	pkgAct     []smu.PackageActivity // EDC monitor totals, kept by refresh
 	thrCyc     []float64
 	thrIns     []float64
 	thrMpf     []float64
@@ -149,6 +153,7 @@ func New(cfg Config) *Machine {
 		effMHzBuf:  make([]float64, top.NumCores()),
 		raplWBuf:   make([]float64, top.NumCores()),
 		pkgWBuf:    make([]float64, len(top.Packages)),
+		pkgAct:     make([]smu.PackageActivity, len(top.Packages)),
 		thrCyc:     make([]float64, top.NumThreads()),
 		thrIns:     make([]float64, top.NumThreads()),
 		thrMpf:     make([]float64, top.NumThreads()),
@@ -244,6 +249,26 @@ func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64)
 	m.markThreadDirty(t)
 	m.refresh()
 	return lat, nil
+}
+
+// StartKernels starts k on every listed thread, as StartKernel would, with
+// a single refresh: while the batch runs, the C-state and DVFS hooks only
+// mark cores dirty. Refreshes at one simulated instant fold zero elapsed
+// time, so only the final state survives them and the batch is
+// indistinguishable from starting the threads one at a time. On an error
+// the threads before the failing one stay started (and refreshed).
+func (m *Machine) StartKernels(threads []soc.ThreadID, k workload.Kernel, weight float64) error {
+	m.batching = true
+	defer func() {
+		m.batching = false
+		m.refresh()
+	}()
+	for _, t := range threads {
+		if _, err := m.StartKernel(t, k, weight); err != nil {
+			return fmt.Errorf("start %s on thread %d: %w", k.Name, t, err)
+		}
+	}
+	return nil
 }
 
 // SetHammingWeights changes the operand weight of the kernels running on
@@ -447,11 +472,11 @@ func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config, ci *power.Cor
 }
 
 // deriveThread computes a thread's performance-counter rates (cycles,
-// instructions and mperf reference cycles per second).
-func (m *Machine) deriveThread(id soc.ThreadID) (cyc, ins, mpf float64) {
+// instructions and mperf reference cycles per second); effMHz is the
+// effective frequency of the thread's core, as deriveCore returns it.
+func (m *Machine) deriveThread(id soc.ThreadID, effMHz float64) (cyc, ins, mpf float64) {
 	if m.CStates.EffectiveState(id) == cstate.C0 && m.Top.Online(id) {
 		core := m.Top.Threads[id].Core
-		effMHz := m.DVFS.EffectiveMHz(core)
 		cyc = effMHz * 1e6
 		mpf = float64(m.cfg.SoC.NominalMHz) * 1e6
 		if m.runs[id].active {
@@ -468,8 +493,8 @@ func (m *Machine) deriveThread(id soc.ThreadID) (cyc, ins, mpf float64) {
 // always run in full, in a fixed order, so their floating-point results are
 // bit-identical whether a core's values were recomputed or cached.
 func (m *Machine) refresh() {
-	if m.inRefresh {
-		return // guard against hook re-entry
+	if m.inRefresh || m.batching {
+		return // guard against hook re-entry; a batch refreshes once at its end
 	}
 	m.inRefresh = true
 	defer func() { m.inRefresh = false }()
@@ -489,7 +514,7 @@ func (m *Machine) refresh() {
 		core := soc.CoreID(c)
 		m.effMHzBuf[c], m.raplWBuf[c] = m.deriveCore(core, raplCfg, &inputs[c])
 		for _, t := range m.Top.Cores[c].Threads {
-			m.thrCyc[t], m.thrIns[t], m.thrMpf[t] = m.deriveThread(t)
+			m.thrCyc[t], m.thrIns[t], m.thrMpf[t] = m.deriveThread(t, m.effMHzBuf[c])
 		}
 	}
 	m.verifyRefresh(raplCfg)
@@ -537,17 +562,32 @@ func (m *Machine) refresh() {
 	// RAPL model: the cached per-core activity-event estimates plus package
 	// uncore and temperature leakage. Every core is re-fed each refresh
 	// because leakage and model noise evolve with time even when the
-	// per-core estimate is unchanged.
+	// per-core estimate is unchanged. The same walk keeps the SMU's
+	// per-package monitor totals, summed in core order.
 	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
 	pkgW := m.pkgWBuf
 	for i := range pkgW {
 		pkgW[i] = 0
+		m.pkgAct[i] = smu.PackageActivity{}
 	}
 	for c := range m.Top.Cores {
 		core := soc.CoreID(c)
 		w := m.raplWBuf[c]
 		m.RAPL.SetCorePower(core, w)
-		pkgW[m.Top.PackageOfCore(core)] += w
+		p := m.Top.PackageOfCore(core)
+		pkgW[p] += w
+		if ci := &inputs[c]; ci.ActiveThreads > 0 {
+			act := &m.pkgAct[p]
+			act.Active = true
+			// The EDC monitor's current model: EDCWeight × f[GHz] × V(f).
+			act.Amps += ci.Kernel.EDCWeight(ci.ActiveThreads) * ci.GHz * ci.Volts
+			if f := m.effMHzBuf[c]; f > act.MaxMHz {
+				act.MaxMHz = f
+			}
+			if f := m.DVFS.UncappedMHz(core); f > act.MaxUncappedMHz {
+				act.MaxUncappedMHz = f
+			}
+		}
 	}
 	for p := range pkgW {
 		uncore := raplCfg.UncoreActive
@@ -562,9 +602,18 @@ func (m *Machine) refresh() {
 	// their piecewise accumulation folds at the same boundaries as a full
 	// recompute would.
 	for t := 0; t < m.Top.NumThreads(); t++ {
-		m.cycles[t].SetPower(now, m.thrCyc[t])
-		m.instrs[t].SetPower(now, m.thrIns[t])
-		m.mperf[t].SetPower(now, m.thrMpf[t])
+		setRate(m.cycles[t], now, m.thrCyc[t])
+		setRate(m.instrs[t], now, m.thrIns[t])
+		setRate(m.mperf[t], now, m.thrMpf[t])
+	}
+}
+
+// setRate switches a counter integrator to a new rate. An integrator whose
+// rate is zero before and after is left alone: folding a zero rate adds
+// exactly +0, so deferring the fold to its next rate change is bit-exact.
+func setRate(ei *sim.EnergyIntegrator, now sim.Time, rate float64) {
+	if rate != 0 || ei.Power() != 0 {
+		ei.SetPower(now, rate)
 	}
 }
 
@@ -596,36 +645,21 @@ func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
 // activitySource adapts Machine to smu.ActivitySource: the SMU monitors the
 // machine's own activity and power model (its internal estimate), not the
 // external reference meter. Every mutation ends in refresh, so the SMU reads
-// the per-core caches refresh maintains instead of re-deriving them;
-// `-tags simcheck` builds assert on every read that the cache matches a
-// direct derivation.
+// the per-package totals and per-core caches refresh maintains instead of
+// re-deriving them; `-tags simcheck` builds assert on every read that they
+// match a direct derivation.
 type activitySource Machine
 
-func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
+func (a *activitySource) PackageActivity(pkg soc.PackageID) smu.PackageActivity {
 	m := (*Machine)(a)
-	m.verifyActivity(core)
-	return cachedCurrentAmps(&m.inputsBuf[core])
-}
-
-// cachedCurrentAmps is the EDC monitor's current model, EDCWeight × f[GHz]
-// × V(f), evaluated on a core's cached power-model input.
-func cachedCurrentAmps(ci *power.CoreInput) float64 {
-	if ci.ActiveThreads == 0 {
-		return 0
-	}
-	return ci.Kernel.EDCWeight(ci.ActiveThreads) * ci.GHz * ci.Volts
+	m.verifyPackageActivity(pkg)
+	return m.pkgAct[pkg]
 }
 
 func (a *activitySource) CoreActive(core soc.CoreID) bool {
 	m := (*Machine)(a)
-	m.verifyActivity(core)
+	m.verifyCoreActive(core)
 	return m.inputsBuf[core].ActiveThreads > 0
-}
-
-func (a *activitySource) CoreEffectiveMHz(core soc.CoreID) float64 {
-	m := (*Machine)(a)
-	m.verifyActivity(core)
-	return m.effMHzBuf[core]
 }
 
 func (a *activitySource) PackageWatts(pkg soc.PackageID) float64 {

@@ -12,7 +12,8 @@ import (
 // incrementally maintained caches.
 func (m *Machine) verifyRefresh(rapl.Config) {}
 
-// verifyActivity is compiled out unless built with -tags simcheck, which
-// cross-checks every SMU read of the refresh caches against a direct
-// derivation.
-func (m *Machine) verifyActivity(soc.CoreID) {}
+// verifyPackageActivity and verifyCoreActive are compiled out unless built
+// with -tags simcheck, which cross-checks every SMU read of the refresh
+// caches against a direct derivation.
+func (m *Machine) verifyPackageActivity(soc.PackageID) {}
+func (m *Machine) verifyCoreActive(soc.CoreID)         {}

@@ -23,19 +23,34 @@ import (
 )
 
 // ActivitySource supplies the monitors' inputs. The machine layer
-// implements it from kernel descriptors and effective frequencies.
+// implements it from the per-core state its refresh maintains: the
+// package totals are kept up to date by every refresh, so a control tick
+// costs O(packages), not O(cores).
 type ActivitySource interface {
-	// CoreCurrentAmps returns the core's present current draw as seen by
-	// the EDC activity monitor.
-	CoreCurrentAmps(core soc.CoreID) float64
-	// CoreActive reports whether the core has any thread in C0.
+	// PackageActivity returns the EDC monitor's totals for the package.
+	PackageActivity(pkg soc.PackageID) PackageActivity
+	// CoreActive reports whether the core has any thread in C0 (the boost
+	// ladder counts active cores).
 	CoreActive(core soc.CoreID) bool
-	// CoreEffectiveMHz returns the core's effective clock (after the SMU
-	// cap and CCX coupling), the frequency throttling steps down from.
-	CoreEffectiveMHz(core soc.CoreID) float64
 	// PackageWatts returns the package's present power estimate for the
 	// PPT loop.
 	PackageWatts(pkg soc.PackageID) float64
+}
+
+// PackageActivity is what the EDC monitor sees of one package. Every field
+// is taken over the package's active cores (those with a thread in C0), in
+// topology order; all are zero when no core is active.
+type PackageActivity struct {
+	// Active reports whether any core of the package is active.
+	Active bool
+	// Amps is the summed current draw of the active cores.
+	Amps float64
+	// MaxMHz is the fastest effective clock (after the SMU cap and CCX
+	// coupling), the frequency throttling steps down from.
+	MaxMHz float64
+	// MaxUncappedMHz is the fastest applied P-state clock (including any
+	// boost grant) before the SMU cap: a cap at or above it is moot.
+	MaxUncappedMHz float64
 }
 
 // Config holds the control-loop parameters.
@@ -157,24 +172,12 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	// threshold — caps at or above the fastest requested (uncapped)
 	// frequency are moot.
 	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
-	var amps float64
-	maxApplied := 0.0
+	act := m.src.PackageActivity(pkg)
 	release := m.cfg.BoostMHz
-	anyActive := false
-	for _, core := range m.pkgCores[pkg] {
-		if !m.src.CoreActive(core) {
-			continue
-		}
-		anyActive = true
-		amps += m.src.CoreCurrentAmps(core)
-		if f := m.src.CoreEffectiveMHz(core); f > maxApplied {
-			maxApplied = f
-		}
-		if f := m.ctl.UncappedMHz(core); f > release {
-			release = f
-		}
+	if act.MaxUncappedMHz > release {
+		release = act.MaxUncappedMHz
 	}
-	amps *= noise
+	amps := act.Amps * noise
 	watts := m.src.PackageWatts(pkg) * noise
 
 	cap := m.capMHz[pkg]
@@ -182,13 +185,13 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	overPPT := m.cfg.TDPWatts > 0 && watts > m.cfg.TDPWatts
 
 	switch {
-	case !anyActive:
+	case !act.Active:
 		// Nothing to throttle; release the cap.
 		cap = math.Inf(1)
 	case overEDC || overPPT:
 		base := cap
 		if math.IsInf(base, 1) {
-			base = maxApplied
+			base = act.MaxMHz
 		}
 		// Proportional response: far above the limit (e.g. load onset at
 		// full clock) the manager drops several 25 MHz steps per period, so
@@ -226,6 +229,11 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 				m.throttledTicks[pkg]++
 			}
 		}
+	}
+	// The SMU is the only writer of core caps, so an unchanged package cap
+	// leaves every core's cap as it is.
+	if cap == m.capMHz[pkg] {
+		return
 	}
 	m.capMHz[pkg] = cap
 	m.applyCap(pkg, cap)

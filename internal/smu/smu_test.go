@@ -12,7 +12,8 @@ import (
 
 // fakeSource implements ActivitySource from a kernel + thread count per
 // core, using the same current model the machine layer uses:
-// I = EDCWeight(threads) × f[GHz] × V(f).
+// I = EDCWeight(threads) × f[GHz] × V(f). PackageActivity derives the
+// totals directly, by a loop over the package's cores in topology order.
 type fakeSource struct {
 	ctl     *dvfs.Controller
 	top     *soc.Topology
@@ -21,19 +22,23 @@ type fakeSource struct {
 	watts   float64
 }
 
-func (s *fakeSource) CoreCurrentAmps(core soc.CoreID) float64 {
-	n := s.threads[core]
-	if n == 0 {
-		return 0
+func (s *fakeSource) PackageActivity(pkg soc.PackageID) PackageActivity {
+	var act PackageActivity
+	for _, core := range s.top.Cores {
+		n := s.threads[core.ID]
+		if s.top.PackageOfCore(core.ID) != pkg || n == 0 {
+			continue
+		}
+		eff := s.ctl.EffectiveMHz(core.ID)
+		act.Active = true
+		act.Amps += s.kernel.EDCWeight(n) * (eff / 1000) * s.ctl.VoltageAt(eff)
+		act.MaxMHz = math.Max(act.MaxMHz, eff)
+		act.MaxUncappedMHz = math.Max(act.MaxUncappedMHz, s.ctl.UncappedMHz(core.ID))
 	}
-	f := s.ctl.EffectiveMHz(core) / 1000
-	v := s.ctl.VoltageAt(s.ctl.EffectiveMHz(core))
-	return s.kernel.EDCWeight(n) * f * v
+	return act
 }
 
 func (s *fakeSource) CoreActive(core soc.CoreID) bool { return s.threads[core] > 0 }
-
-func (s *fakeSource) CoreEffectiveMHz(core soc.CoreID) float64 { return s.ctl.EffectiveMHz(core) }
 
 func (s *fakeSource) PackageWatts(soc.PackageID) float64 { return s.watts }
 
